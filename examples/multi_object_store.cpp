@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
     }
     const auto results = client.multi_put_sync(std::move(entries));
     for (const auto& r : results) {
-      if (!r.ok) {
-        std::printf("multi_put failed: %s\n", r.error.c_str());
+      if (!r.status.ok()) {
+        std::printf("multi_put failed: %s\n", r.status.to_string().c_str());
         return 1;
       }
     }
@@ -109,7 +109,9 @@ int main(int argc, char** argv) {
   const auto reads = client.multi_get_sync(keys);
   std::size_t durable = 0;
   for (const auto& r : reads) {
-    if (r.ok && r.value.size() == value_size && r.version.known()) ++durable;
+    if (r.status.ok() && r.value.size() == value_size && r.version.known()) {
+      ++durable;
+    }
   }
 
   std::uint64_t l1 = 0, l2 = 0;

@@ -21,6 +21,7 @@
 #include <variant>
 #include <vector>
 
+#include "baselines/single_layer.h"
 #include "common/slice.h"
 #include "lds/history.h"
 #include "net/network.h"
@@ -148,7 +149,8 @@ class AbdClient final : public net::Node {
 
 // ---- harness ----------------------------------------------------------------
 
-class AbdCluster {
+class AbdCluster final
+    : public SingleLayerCluster<AbdContext, AbdServer, AbdClient> {
  public:
   struct Options {
     std::size_t n = 5;
@@ -163,42 +165,9 @@ class AbdCluster {
     /// LdsCluster::Options::engine); null = own a single-lane SimEngine.
     net::Engine* engine = nullptr;
     std::size_t lane = 0;
-    /// Legacy shorthand for "SimEngine over an external simulator"; ignored
-    /// when `engine` is set.  Must outlive the cluster.
-    net::Simulator* sim = nullptr;
   };
 
-  explicit AbdCluster(Options opt);
-
-  net::Engine& engine() { return *engine_; }
-  std::size_t lane() const { return opt_.lane; }
-  net::Simulator& sim() { return *sim_; }
-  net::Network& net() { return *net_; }
-  History& history() { return history_; }
-  const AbdContext& ctx() const { return *ctx_; }
-
-  AbdClient& writer(std::size_t i) { return *writers_.at(i); }
-  AbdClient& reader(std::size_t i) { return *readers_.at(i); }
-  AbdServer& server(std::size_t i) { return *servers_.at(i); }
-
-  void crash_server(std::size_t i) { servers_.at(i)->crash(); }
-
-  Tag write_sync(std::size_t writer_idx, ObjectId obj, Value value);
-  std::pair<Tag, Value> read_sync(std::size_t reader_idx, ObjectId obj);
-
-  std::uint64_t storage_bytes() const;
-
- private:
-  Options opt_;
-  std::unique_ptr<net::SimEngine> owned_engine_;
-  net::Engine* engine_ = nullptr;
-  net::Simulator* sim_ = nullptr;
-  std::unique_ptr<net::Network> net_;
-  std::shared_ptr<AbdContext> ctx_;
-  History history_;
-  std::vector<std::unique_ptr<AbdServer>> servers_;
-  std::vector<std::unique_ptr<AbdClient>> writers_;
-  std::vector<std::unique_ptr<AbdClient>> readers_;
+  explicit AbdCluster(const Options& opt);
 };
 
 }  // namespace lds::baselines

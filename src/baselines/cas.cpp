@@ -263,81 +263,8 @@ void CasClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
 // ---- harness --------------------------------------------------------------------
 
-CasCluster::CasCluster(Options opt) : opt_(opt) {
-  auto latency =
-      opt_.exponential_latency
-          ? std::unique_ptr<net::LatencyModel>(
-                std::make_unique<net::ExponentialLatency>(
-                    opt_.tau1, opt_.tau1, opt_.tau1))
-          : std::unique_ptr<net::LatencyModel>(
-                std::make_unique<net::FixedLatency>(opt_.tau1, opt_.tau1,
-                                                    opt_.tau1));
-  if (opt_.engine != nullptr) {
-    engine_ = opt_.engine;
-  } else if (opt_.sim != nullptr) {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(*opt_.sim, opt_.seed);
-    engine_ = owned_engine_.get();
-  } else {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);
-    engine_ = owned_engine_.get();
-  }
-  sim_ = &engine_->lane_sim(opt_.lane);
-  net_ = std::make_unique<net::Network>(*engine_, opt_.lane, std::move(latency),
-                                        opt_.seed);
-
-  ctx_ = make_cas_context(opt_.n, opt_.k, opt_.initial_value);
-  for (std::size_t i = 0; i < opt_.n; ++i) {
-    ctx_->server_ids.push_back(20000 + static_cast<NodeId>(i));
-  }
-  for (std::size_t i = 0; i < opt_.n; ++i) {
-    servers_.push_back(std::make_unique<CasServer>(*net_, ctx_, i));
-  }
-  for (std::size_t w = 0; w < opt_.writers; ++w) {
-    writers_.push_back(std::make_unique<CasClient>(
-        *net_, ctx_, static_cast<NodeId>(1 + w), Role::Writer, &history_));
-  }
-  for (std::size_t r = 0; r < opt_.readers; ++r) {
-    readers_.push_back(std::make_unique<CasClient>(
-        *net_, ctx_, 10000 + static_cast<NodeId>(r), Role::Reader,
-        &history_));
-  }
-}
-
-Tag CasCluster::write_sync(std::size_t writer_idx, ObjectId obj, Value value) {
-  bool done = false;
-  Tag tag;
-  writers_.at(writer_idx)->write(obj, std::move(value), [&](Tag t) {
-    done = true;
-    tag = t;
-  });
-  while (!done && sim_->step()) {
-  }
-  LDS_REQUIRE(done, "CasCluster::write_sync: drained before completion");
-  return tag;
-}
-
-std::pair<Tag, Value> CasCluster::read_sync(std::size_t reader_idx,
-                                            ObjectId obj) {
-  bool done = false;
-  Tag tag;
-  Value value;
-  readers_.at(reader_idx)->read(obj, [&](Tag t, Value v) {
-    done = true;
-    tag = t;
-    value = std::move(v);
-  });
-  while (!done && sim_->step()) {
-  }
-  LDS_REQUIRE(done, "CasCluster::read_sync: drained before completion");
-  return {tag, std::move(value)};
-}
-
-std::uint64_t CasCluster::storage_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& s : servers_) total += s->stored_bytes();
-  return total;
-}
+CasCluster::CasCluster(const Options& opt)
+    : SingleLayerCluster(opt, make_cas_context(opt.n, opt.k, opt.initial_value),
+                         (opt.n - opt.k) / 2) {}
 
 }  // namespace lds::baselines

@@ -33,6 +33,7 @@
 #include <variant>
 #include <vector>
 
+#include "baselines/single_layer.h"
 #include "codes/striped.h"
 #include "common/slice.h"
 #include "lds/history.h"
@@ -187,7 +188,8 @@ class CasClient final : public net::Node {
 
 // ---- harness --------------------------------------------------------------------
 
-class CasCluster {
+class CasCluster final
+    : public SingleLayerCluster<CasContext, CasServer, CasClient> {
  public:
   struct Options {
     std::size_t n = 9;
@@ -202,41 +204,9 @@ class CasCluster {
     /// LdsCluster::Options::engine); null = own a single-lane SimEngine.
     net::Engine* engine = nullptr;
     std::size_t lane = 0;
-    /// Legacy shorthand for "SimEngine over an external simulator"; ignored
-    /// when `engine` is set.  Must outlive the cluster.
-    net::Simulator* sim = nullptr;
   };
 
-  explicit CasCluster(Options opt);
-
-  net::Engine& engine() { return *engine_; }
-  std::size_t lane() const { return opt_.lane; }
-  net::Simulator& sim() { return *sim_; }
-  net::Network& net() { return *net_; }
-  History& history() { return history_; }
-  const CasContext& ctx() const { return *ctx_; }
-
-  CasClient& writer(std::size_t i) { return *writers_.at(i); }
-  CasClient& reader(std::size_t i) { return *readers_.at(i); }
-  CasServer& server(std::size_t i) { return *servers_.at(i); }
-  void crash_server(std::size_t i) { servers_.at(i)->crash(); }
-
-  Tag write_sync(std::size_t writer_idx, ObjectId obj, Value value);
-  std::pair<Tag, Value> read_sync(std::size_t reader_idx, ObjectId obj);
-
-  std::uint64_t storage_bytes() const;
-
- private:
-  Options opt_;
-  std::unique_ptr<net::SimEngine> owned_engine_;
-  net::Engine* engine_ = nullptr;
-  net::Simulator* sim_ = nullptr;
-  std::unique_ptr<net::Network> net_;
-  std::shared_ptr<CasContext> ctx_;
-  History history_;
-  std::vector<std::unique_ptr<CasServer>> servers_;
-  std::vector<std::unique_ptr<CasClient>> writers_;
-  std::vector<std::unique_ptr<CasClient>> readers_;
+  explicit CasCluster(const Options& opt);
 };
 
 }  // namespace lds::baselines

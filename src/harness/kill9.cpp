@@ -227,7 +227,7 @@ Kill9Report run_kill9(const Kill9Options& opt) {
             store::GetResult r =
                 session->get(key, store::ReadMode::Atomic, kOpDeadline);
             const double t_rsp = seconds_since(t0);
-            if (r.ok) {
+            if (r.status.ok()) {
               rec.read_done(op, key_idx, client, t_inv, t_rsp, r.tag,
                             std::move(r.value));
             } else if (r.status.code() == StatusCode::kNotFound) {
@@ -246,13 +246,13 @@ Kill9Report run_kill9(const Kill9Options& opt) {
             const double t_inv = seconds_since(t0);
             store::PutResult r = session->put(key, v, kOpDeadline);
             const double t_rsp = seconds_since(t0);
-            if (r.ok && r.coalesced) {
+            if (r.status.ok() && r.coalesced) {
               // Absorbed by a newer same-key put: durable, but linearized
               // immediately before the survivor and never readable.  Not a
               // history op (its version is the survivor's).
               std::lock_guard<std::mutex> lk(rec.mu);
               ++rep.writes_coalesced;
-            } else if (r.ok) {
+            } else if (r.status.ok()) {
               rec.write_done(op, key_idx, client, t_inv, t_rsp, r.tag,
                              std::move(v));
             } else if (r.status.code() == StatusCode::kAdmissionReject ||

@@ -111,19 +111,57 @@ struct ShardEnv {
   std::shared_ptr<void> keepalive;
 };
 
-/// Crash/repair bookkeeping for one LDS shard.  A server occupies a failure
-/// budget slot from the moment it is crashed until its replacement finishes
+/// LDS, ABD or CAS: one cluster, driven through the protocol-neutral
+/// core::Cluster surface.  try_crash picks a victim within `budget` (a fresh
+/// one over the cluster's fault layers when null), crashes it after an
+/// exponential delay, and hands the victim and that delay to `after_crash`
+/// (LDS repair churn; it may draw from the same Rng).
+using CrashHook =
+    std::function<void(core::FailureBudget::Victim, double delay, Rng&)>;
+
+ShardEnv make_cluster_env(std::shared_ptr<core::Cluster> cluster,
+                          std::shared_ptr<core::FailureBudget> budget = {},
+                          CrashHook after_crash = {}) {
+  if (!budget) {
+    budget = std::make_shared<core::FailureBudget>(cluster->fault_layers());
+  }
+  ShardEnv env;
+  env.sim = &cluster->sim();
+  env.histories.push_back(&cluster->history());
+  env.write = [cluster](std::size_t w, ObjectId obj, Value v,
+                        std::function<void()> done) {
+    cluster->write(w, obj, std::move(v),
+                   [done = std::move(done)](Tag) { done(); });
+  };
+  env.read = [cluster](std::size_t r, ObjectId obj,
+                       std::function<void()> done) {
+    cluster->read(r, obj,
+                  [done = std::move(done)](Tag, const Value&) { done(); });
+  };
+  env.try_crash = [cluster, budget,
+                   after_crash = std::move(after_crash)](Rng& rng) {
+    const auto victim = budget->pick(rng);
+    if (!victim.has_value()) return false;
+    const double delay = rng.exponential(1.0);
+    cluster->sim().after(delay, [cluster, v = *victim] {
+      cluster->crash(v.layer, v.index);
+    });
+    if (after_crash) after_crash(*victim, delay, rng);
+    return true;
+  };
+  env.keepalive = cluster;
+  return env;
+}
+
+/// Repair churn for one LDS shard.  An L2 server holds its failure-budget
+/// slot from the moment it is crashed until its replacement finishes
 /// regenerating every object (under-repair servers answer with stale state,
 /// so they must count against f2 like crashed ones).
-struct LdsFaultState {
-  std::vector<bool> l1_down;
-  std::vector<bool> l2_busy;
-  std::size_t l1_down_count = 0;
-  std::size_t l2_busy_count = 0;
+struct LdsRepairChurn {
   std::size_t repairs_done = 0;
-  /// Repair orchestration closures; stored here (capturing this object by
-  /// raw pointer) so they can re-enter themselves without shared_ptr cycles.
-  std::function<void(std::size_t)> repair_server;
+  /// Regenerates objects [obj, objects) on a replaced server in sequence.
+  /// Stored here (capturing this object by raw pointer) so it can re-enter
+  /// itself without shared_ptr cycles.
   std::function<void(std::size_t, ObjectId)> repair_chain;
 };
 
@@ -144,161 +182,72 @@ ShardEnv make_lds_env(const StressOptions& opt, std::uint64_t shard_seed) {
   copt.tau2 = opt.tau2;
   copt.seed = mix_seed(shard_seed, 1);
   auto cluster = std::make_shared<core::LdsCluster>(copt);
-  auto faults = std::make_shared<LdsFaultState>();
-  faults->l1_down.assign(opt.n1, false);
-  faults->l2_busy.assign(opt.n2, false);
+  auto budget = std::make_shared<core::FailureBudget>(cluster->fault_layers());
+  auto churn = std::make_shared<LdsRepairChurn>();
 
-  ShardEnv env;
-  env.sim = &cluster->sim();
-  env.histories.push_back(&cluster->history());
-  env.repairs = &faults->repairs_done;
-  env.write = [cluster](std::size_t w, ObjectId obj, Value v,
-                        std::function<void()> done) {
-    cluster->writer(w).write(obj, std::move(v),
-                             [done = std::move(done)](Tag) { done(); });
-  };
-  env.read = [cluster](std::size_t r, ObjectId obj,
-                       std::function<void()> done) {
-    cluster->reader(r).read(
-        obj, [done = std::move(done)](Tag, const Value&) { done(); });
-  };
-
-  // Repair churn: replace the crashed server, then regenerate each object in
-  // sequence; the budget slot frees only once every object converged.  The
-  // closures live in *faults and capture it raw, so no shared_ptr cycles.
-  LdsFaultState* fp = faults.get();
-  faults->repair_chain = [cluster, fp, opt](std::size_t victim, ObjectId obj) {
+  // Replace the crashed server, then regenerate each object in sequence;
+  // the budget slot frees only once every object converged.  The chain
+  // lives in *churn and captures it raw, so no shared_ptr cycles.
+  LdsRepairChurn* cp = churn.get();
+  core::FailureBudget* bp = budget.get();
+  churn->repair_chain = [cluster, cp, bp, opt](std::size_t victim,
+                                               ObjectId obj) {
     if (obj >= opt.objects) {  // all objects regenerated: slot freed
-      fp->l2_busy[victim] = false;
-      --fp->l2_busy_count;
-      ++fp->repairs_done;
+      bp->mark_up(core::LdsCluster::kL2, victim);
+      ++cp->repairs_done;
       return;
     }
     cluster->l2(victim).repair_object(
-        obj, [cluster, fp, victim, obj](std::optional<Tag> t) {
+        obj, [cluster, cp, victim, obj](std::optional<Tag> t) {
           if (t.has_value()) {
-            fp->repair_chain(victim, obj + 1);
+            cp->repair_chain(victim, obj + 1);
           } else {
             // All rounds raced with concurrent write-to-L2 traffic; retry
             // this object after a backoff.  The slot stays occupied.
             cluster->sim().after(
-                5.0, [fp, victim, obj] { fp->repair_chain(victim, obj); });
+                5.0, [cp, victim, obj] { cp->repair_chain(victim, obj); });
           }
         });
   };
-  faults->repair_server = [cluster, fp](std::size_t victim) {
-    cluster->replace_l2(victim);
-    fp->repair_chain(victim, 0);
-  };
 
-  env.try_crash = [cluster, faults, opt](Rng& rng) {
-    const bool can_l1 = faults->l1_down_count < opt.f1;
-    const bool can_l2 = faults->l2_busy_count < opt.f2;
-    if (!can_l1 && !can_l2) return false;
-    // Pick a layer with remaining budget, then a random healthy victim.
-    const bool hit_l2 = can_l2 && (!can_l1 || rng.bernoulli(0.5));
-    std::vector<std::size_t> healthy;
-    if (hit_l2) {
-      for (std::size_t i = 0; i < opt.n2; ++i)
-        if (!faults->l2_busy[i]) healthy.push_back(i);
-    } else {
-      for (std::size_t i = 0; i < opt.n1; ++i)
-        if (!faults->l1_down[i]) healthy.push_back(i);
-    }
-    if (healthy.empty()) return false;
-    const std::size_t victim =
-        healthy[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(healthy.size()) - 1))];
-    const double delay = rng.exponential(1.0);
-    const bool repair = hit_l2 && rng.bernoulli(opt.repair_rate);
-    const double repair_delay = delay + 2.0 + rng.exponential(5.0);
-    if (hit_l2) {
-      faults->l2_busy[victim] = true;
-      ++faults->l2_busy_count;
-      cluster->sim().after(delay,
-                           [cluster, victim] { cluster->crash_l2(victim); });
-      if (repair) {
-        LdsFaultState* f = faults.get();
-        cluster->sim().after(repair_delay,
-                             [f, victim] { f->repair_server(victim); });
-      }
-    } else {
-      faults->l1_down[victim] = true;
-      ++faults->l1_down_count;
-      cluster->sim().after(delay,
-                           [cluster, victim] { cluster->crash_l1(victim); });
-    }
-    return true;
-  };
-  env.keepalive = cluster;
+  ShardEnv env = make_cluster_env(
+      cluster, budget,
+      [cluster, churn, cp, opt](core::FailureBudget::Victim v, double delay,
+                                Rng& rng) {
+        const bool repair =
+            v.layer == core::LdsCluster::kL2 && rng.bernoulli(opt.repair_rate);
+        const double repair_delay = delay + 2.0 + rng.exponential(5.0);
+        if (repair) {
+          cluster->sim().after(repair_delay, [cluster, cp, victim = v.index] {
+            cluster->replace_l2(victim);
+            cp->repair_chain(victim, 0);
+          });
+        }
+      });
+  env.repairs = &churn->repairs_done;
   return env;
 }
 
-template <typename Cluster>
-ShardEnv make_single_layer_env(std::shared_ptr<Cluster> cluster,
-                               std::size_t n, std::size_t budget) {
-  auto down = std::make_shared<std::vector<bool>>(n, false);
-  auto down_count = std::make_shared<std::size_t>(0);
-
-  ShardEnv env;
-  env.sim = &cluster->sim();
-  env.histories.push_back(&cluster->history());
-  env.write = [cluster](std::size_t w, ObjectId obj, Value v,
-                        std::function<void()> done) {
-    cluster->writer(w).write(obj, std::move(v),
-                             [done = std::move(done)](Tag) { done(); });
+/// The single-layer baselines: ABD with f < n/2, CAS with k = n - 2f.
+std::shared_ptr<core::Cluster> make_baseline(const StressOptions& opt,
+                                             std::uint64_t shard_seed) {
+  auto single_layer = [&](auto copt) {
+    copt.n = opt.n;
+    copt.writers = opt.writers;
+    copt.readers = opt.readers;
+    copt.tau1 = opt.tau1;
+    copt.seed = mix_seed(shard_seed, 1);
+    copt.exponential_latency = opt.exponential_latency;
+    return copt;
   };
-  env.read = [cluster](std::size_t r, ObjectId obj,
-                       std::function<void()> done) {
-    cluster->reader(r).read(
-        obj, [done = std::move(done)](Tag, const Value&) { done(); });
-  };
-  env.try_crash = [cluster, down, down_count, n, budget](Rng& rng) {
-    if (*down_count >= budget) return false;
-    std::vector<std::size_t> healthy;
-    for (std::size_t i = 0; i < n; ++i)
-      if (!(*down)[i]) healthy.push_back(i);
-    if (healthy.empty()) return false;
-    const std::size_t victim =
-        healthy[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(healthy.size()) - 1))];
-    (*down)[victim] = true;
-    ++*down_count;
-    cluster->sim().after(rng.exponential(1.0), [cluster, victim] {
-      cluster->crash_server(victim);
-    });
-    return true;
-  };
-  env.keepalive = cluster;
-  return env;
-}
-
-ShardEnv make_abd_env(const StressOptions& opt, std::uint64_t shard_seed) {
-  baselines::AbdCluster::Options copt;
-  copt.n = opt.n;
-  copt.f = opt.f;
-  copt.writers = opt.writers;
-  copt.readers = opt.readers;
-  copt.initial_value = Bytes{};
-  copt.tau1 = opt.tau1;
-  copt.seed = mix_seed(shard_seed, 1);
-  copt.exponential_latency = opt.exponential_latency;
-  auto cluster = std::make_shared<baselines::AbdCluster>(copt);
-  return make_single_layer_env(std::move(cluster), opt.n, opt.f);
-}
-
-ShardEnv make_cas_env(const StressOptions& opt, std::uint64_t shard_seed) {
+  if (opt.backend == Backend::Abd) {
+    baselines::AbdCluster::Options copt;
+    copt.f = opt.f;
+    return std::make_shared<baselines::AbdCluster>(single_layer(copt));
+  }
   baselines::CasCluster::Options copt;
-  copt.n = opt.n;
-  copt.k = opt.n - 2 * opt.f;  // f = (n - k) / 2
-  copt.writers = opt.writers;
-  copt.readers = opt.readers;
-  copt.initial_value = Bytes{};
-  copt.tau1 = opt.tau1;
-  copt.seed = mix_seed(shard_seed, 1);
-  copt.exponential_latency = opt.exponential_latency;
-  auto cluster = std::make_shared<baselines::CasCluster>(copt);
-  return make_single_layer_env(std::move(cluster), opt.n, opt.f);
+  copt.k = opt.n - 2 * opt.f;
+  return std::make_shared<baselines::CasCluster>(single_layer(copt));
 }
 
 /// Project the stress options onto the shared workload model.  The
@@ -415,6 +364,32 @@ ShardEnv make_store_env(const StressOptions& opt, std::uint64_t shard_seed,
   return env;
 }
 
+/// Client liveness, the paper's atomicity conditions and the independent
+/// freshness checker over one history: clears each failing verdict in `rep`
+/// and records the first violation, suffixed with `where`.
+void verify_history(const History& history, const std::string& where,
+                    ShardReport& rep) {
+  if (!history.all_complete() && rep.liveness_ok) {
+    rep.liveness_ok = false;
+    rep.violation = "liveness: " + std::to_string(history.incomplete()) +
+                    " ops never completed" + where;
+  }
+  const auto atomic_verdict = history.check_atomicity(Bytes{});
+  if (!atomic_verdict.ok && rep.atomicity_ok) {
+    rep.atomicity_ok = false;
+    if (rep.violation.empty()) {
+      rep.violation = "atomicity: " + atomic_verdict.violation + where;
+    }
+  }
+  const auto fresh_verdict = verify_read_freshness(history);
+  if (!fresh_verdict.ok && rep.freshness_ok) {
+    rep.freshness_ok = false;
+    if (rep.violation.empty()) {
+      rep.violation = "freshness: " + fresh_verdict.violation + where;
+    }
+  }
+}
+
 /// db_stress ThreadState: everything one OS thread needs to run its shard.
 struct ThreadState {
   std::size_t shard = 0;
@@ -435,8 +410,10 @@ ShardReport run_shard(const ThreadState& ts) {
   ShardEnv env;
   switch (opt.backend) {
     case Backend::Lds: env = make_lds_env(opt, ts.seed); break;
-    case Backend::Abd: env = make_abd_env(opt, ts.seed); break;
-    case Backend::Cas: env = make_cas_env(opt, ts.seed); break;
+    case Backend::Abd:
+    case Backend::Cas:
+      env = make_cluster_env(make_baseline(opt, ts.seed));
+      break;
     case Backend::Store: env = make_store_env(opt, ts.seed, &model); break;
   }
 
@@ -532,28 +509,9 @@ ShardReport run_shard(const ThreadState& ts) {
   rep.freshness_ok = true;
   const bool multi = env.histories.size() > 1;
   for (std::size_t h = 0; h < env.histories.size(); ++h) {
-    const History& history = *env.histories[h];
-    const std::string where =
-        multi ? " (store shard " + std::to_string(h) + ")" : "";
-    if (!history.all_complete() && rep.liveness_ok) {
-      rep.liveness_ok = false;
-      rep.violation = "liveness: " + std::to_string(history.incomplete()) +
-                      " ops never completed" + where;
-    }
-    const auto atomic_verdict = history.check_atomicity(Bytes{});
-    if (!atomic_verdict.ok && rep.atomicity_ok) {
-      rep.atomicity_ok = false;
-      if (rep.violation.empty()) {
-        rep.violation = "atomicity: " + atomic_verdict.violation + where;
-      }
-    }
-    const auto fresh_verdict = verify_read_freshness(history);
-    if (!fresh_verdict.ok && rep.freshness_ok) {
-      rep.freshness_ok = false;
-      if (rep.violation.empty()) {
-        rep.violation = "freshness: " + fresh_verdict.violation + where;
-      }
-    }
+    verify_history(*env.histories[h],
+                   multi ? " (store shard " + std::to_string(h) + ")" : "",
+                   rep);
   }
   if (env.outstanding && env.outstanding() != 0 && rep.liveness_ok) {
     rep.liveness_ok = false;
@@ -668,22 +626,10 @@ StressReport run_parallel_store(const StressOptions& opt,
       rep.cache_misses = client.metrics().counter_total("cache_misses");
     }
 
-    const History& history = svc.shard_history(s);
-    rep.liveness_ok = history.all_complete();
-    if (!rep.liveness_ok) {
-      rep.violation = "liveness: " + std::to_string(history.incomplete()) +
-                      " ops never completed";
-    }
-    const auto atomic_verdict = history.check_atomicity(Bytes{});
-    rep.atomicity_ok = atomic_verdict.ok;
-    if (!atomic_verdict.ok && rep.violation.empty()) {
-      rep.violation = "atomicity: " + atomic_verdict.violation;
-    }
-    const auto fresh_verdict = verify_read_freshness(history);
-    rep.freshness_ok = fresh_verdict.ok;
-    if (!fresh_verdict.ok && rep.violation.empty()) {
-      rep.violation = "freshness: " + fresh_verdict.violation;
-    }
+    rep.liveness_ok = true;
+    rep.atomicity_ok = true;
+    rep.freshness_ok = true;
+    verify_history(svc.shard_history(s), "", rep);
     if (s == 0 && svc.outstanding() != 0) {
       rep.liveness_ok = false;
       rep.violation = "liveness: " + std::to_string(svc.outstanding()) +

@@ -28,28 +28,14 @@ std::unique_ptr<net::LatencyModel> make_latency(const LdsCluster::Options& o) {
 }
 }  // namespace
 
-LdsCluster::LdsCluster(Options opt) : opt_(std::move(opt)) {
+LdsCluster::LdsCluster(Options opt)
+    : Cluster(opt.engine, opt.lane, opt.seed, make_latency(opt)),
+      opt_(std::move(opt)) {
   opt_.cfg.validate();
   LDS_REQUIRE(opt_.writers >= 1 && opt_.writers < 9999,
               "LdsCluster: writer count out of range");
-  // Engine resolution: explicit engine lane > external simulator (wrapped in
-  // a SimEngine, the pre-engine sharing pattern) > own a fresh SimEngine.
-  if (opt_.engine != nullptr) {
-    engine_ = opt_.engine;
-  } else if (opt_.sim != nullptr) {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(*opt_.sim, opt_.seed);
-    engine_ = owned_engine_.get();
-  } else {
-    opt_.lane = 0;
-    owned_engine_ = std::make_unique<net::SimEngine>(opt_.seed);
-    engine_ = owned_engine_.get();
-  }
-  sim_ = &engine_->lane_sim(opt_.lane);
-  net_ = std::make_unique<net::Network>(*engine_, opt_.lane, make_latency(opt_),
-                                        opt_.seed);
   if (opt_.transport_factory) {
-    net_->set_transport(opt_.transport_factory(*net_));
+    net().set_transport(opt_.transport_factory(net()));
   }
   LDS_REQUIRE(opt_.remote_l1.empty() && opt_.remote_l2.empty()
                   ? true
@@ -67,7 +53,7 @@ LdsCluster::LdsCluster(Options opt) : opt_(std::move(opt)) {
 
   ctx_ = LdsContext::make(opt_.cfg);
   ctx_->meter = &meter_;
-  ctx_->encode_engine = engine_;
+  ctx_->encode_engine = &engine();
   for (std::size_t j = 0; j < opt_.cfg.n1; ++j) {
     ctx_->l1_ids.push_back(kL1IdBase + static_cast<NodeId>(j));
   }
@@ -95,30 +81,30 @@ LdsCluster::LdsCluster(Options opt) : opt_(std::move(opt)) {
   for (std::size_t j = 0; j < opt_.cfg.n1; ++j) {
     l1_.push_back(opt_.remote_l1.contains(j)
                       ? nullptr
-                      : std::make_unique<ServerL1>(*net_, ctx_, j));
+                      : std::make_unique<ServerL1>(net(), ctx_, j));
   }
   for (std::size_t i = 0; i < opt_.cfg.n2; ++i) {
     l2_.push_back(opt_.remote_l2.contains(i)
                       ? nullptr
                       : std::make_unique<ServerL2>(
-                            *net_, ctx_, i,
+                            net(), ctx_, i,
                             durable ? open_l2_backend(i) : nullptr));
   }
   for (std::size_t w = 0; w < opt_.writers; ++w) {
     writers_.push_back(std::make_unique<Writer>(
-        *net_, ctx_, static_cast<NodeId>(1 + w), &history_));
+        net(), ctx_, static_cast<NodeId>(1 + w), &history()));
   }
   for (std::size_t r = 0; r < opt_.readers; ++r) {
     readers_.push_back(std::make_unique<Reader>(
-        *net_, ctx_, kReaderIdBase + static_cast<NodeId>(r), &history_,
+        net(), ctx_, kReaderIdBase + static_cast<NodeId>(r), &history(),
         opt_.read_consistency));
   }
   // Regular-consistency pool (Section VI extension): ids follow the atomic
   // readers' block so both pools stay within the reader id range.
   for (std::size_t r = 0; r < opt_.regular_readers; ++r) {
     regular_readers_.push_back(std::make_unique<Reader>(
-        *net_, ctx_,
-        kReaderIdBase + static_cast<NodeId>(opt_.readers + r), &history_,
+        net(), ctx_,
+        kReaderIdBase + static_cast<NodeId>(opt_.readers + r), &history(),
         ReadConsistency::Regular));
   }
 
@@ -200,11 +186,11 @@ void LdsCluster::recover_from_storage() {
     // off the original writer id recorded in the tag, with a sequence block
     // (0xEC0000) no live client uses.
     const std::size_t idx =
-        history_.on_invoke(make_op_id(static_cast<NodeId>(chosen.w),
+        history().on_invoke(make_op_id(static_cast<NodeId>(chosen.w),
                                       0xEC0000u + seq),
                            OpKind::Write, obj, static_cast<NodeId>(chosen.w),
-                           sim_->now());
-    history_.on_response(idx, sim_->now(), chosen, Value(std::move(value)));
+                           sim().now());
+    history().on_response(idx, sim().now(), chosen, Value(std::move(value)));
     recovered_objects_.emplace_back(obj, chosen);
     ++seq;
   }
@@ -228,7 +214,7 @@ void LdsCluster::release_l2(std::size_t i) { l2_.at(i).reset(); }
 
 ServerL1& LdsCluster::adopt_l1(std::size_t j) {
   LDS_REQUIRE(l1_.at(j) == nullptr, "adopt_l1: server already local");
-  l1_.at(j) = std::make_unique<ServerL1>(*net_, ctx_, j);
+  l1_.at(j) = std::make_unique<ServerL1>(net(), ctx_, j);
   return *l1_.at(j);
 }
 
@@ -236,7 +222,7 @@ ServerL2& LdsCluster::adopt_l2(std::size_t i) {
   LDS_REQUIRE(l2_.at(i) == nullptr, "adopt_l2: server already local");
   // RAM-only, like every remote-placement slot (construction enforces it):
   // the follow-up repair_object round regenerates state from quorum peers.
-  l2_.at(i) = std::make_unique<ServerL2>(*net_, ctx_, i, nullptr);
+  l2_.at(i) = std::make_unique<ServerL2>(net(), ctx_, i, nullptr);
   return *l2_.at(i);
 }
 
@@ -260,14 +246,28 @@ ServerL2& LdsCluster::replace_l2(std::size_t i) {
                              .c_str());
     backend = open_l2_backend(i);
   }
-  l2_.at(i) = std::make_unique<ServerL2>(*net_, ctx_, i, std::move(backend));
+  l2_.at(i) = std::make_unique<ServerL2>(net(), ctx_, i, std::move(backend));
   return *l2_.at(i);
+}
+
+void LdsCluster::write(std::size_t writer, ObjectId obj, Value value,
+                       WriteCallback cb) {
+  writers_.at(writer)->write(obj, std::move(value), std::move(cb));
+}
+
+void LdsCluster::read(std::size_t reader, ObjectId obj, ReadCallback cb) {
+  readers_.at(reader)->read(obj, std::move(cb));
+}
+
+void LdsCluster::crash(std::size_t layer, std::size_t index) {
+  LDS_REQUIRE(layer == kL1 || layer == kL2, "LdsCluster::crash: bad layer");
+  layer == kL1 ? crash_l1(index) : crash_l2(index);
 }
 
 void LdsCluster::write_at(net::SimTime t, std::size_t writer_idx, ObjectId obj,
                           Value value, Writer::Callback cb) {
   Writer* w = writers_.at(writer_idx).get();
-  sim_->at(t, [w, obj, value = std::move(value), cb = std::move(cb)]() mutable {
+  sim().at(t, [w, obj, value = std::move(value), cb = std::move(cb)]() mutable {
     w->write(obj, std::move(value), std::move(cb));
   });
 }
@@ -275,39 +275,9 @@ void LdsCluster::write_at(net::SimTime t, std::size_t writer_idx, ObjectId obj,
 void LdsCluster::read_at(net::SimTime t, std::size_t reader_idx, ObjectId obj,
                          Reader::Callback cb) {
   Reader* r = readers_.at(reader_idx).get();
-  sim_->at(t, [r, obj, cb = std::move(cb)]() mutable {
+  sim().at(t, [r, obj, cb = std::move(cb)]() mutable {
     r->read(obj, std::move(cb));
   });
-}
-
-Tag LdsCluster::write_sync(std::size_t writer_idx, ObjectId obj, Value value) {
-  bool done = false;
-  Tag tag;
-  writers_.at(writer_idx)
-      ->write(obj, std::move(value), [&](Tag t) {
-        done = true;
-        tag = t;
-      });
-  while (!done && sim_->step()) {
-  }
-  LDS_REQUIRE(done, "write_sync: simulation drained before write completed");
-  return tag;
-}
-
-std::pair<Tag, Value> LdsCluster::read_sync(std::size_t reader_idx,
-                                            ObjectId obj) {
-  bool done = false;
-  Tag tag;
-  Value value;
-  readers_.at(reader_idx)->read(obj, [&](Tag t, Value v) {
-    done = true;
-    tag = t;
-    value = std::move(v);
-  });
-  while (!done && sim_->step()) {
-  }
-  LDS_REQUIRE(done, "read_sync: simulation drained before read completed");
-  return {tag, std::move(value)};
 }
 
 }  // namespace lds::core

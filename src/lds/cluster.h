@@ -1,10 +1,10 @@
 // LdsCluster: one simulated LDS deployment wired end to end.
 //
-// Owns the simulator, the network, both server layers, a pool of writer and
-// reader clients, the operation history and the storage meter.  This is the
-// primary entry point of the library: examples, tests and benches build a
-// cluster, schedule operations (synchronously or at chosen simulation times)
-// and then inspect history, costs and storage.
+// On top of what every core::Cluster owns (lane, network, history), it owns
+// both server layers, a pool of writer and reader clients and the storage
+// meter.  This is the primary entry point of the library: examples, tests
+// and benches build a cluster, schedule operations (synchronously or at
+// chosen simulation times) and then inspect history, costs and storage.
 #pragma once
 
 #include <functional>
@@ -13,19 +13,22 @@
 #include <set>
 #include <vector>
 
+#include "lds/cluster_base.h"
 #include "lds/context.h"
 #include "lds/reader.h"
 #include "lds/server_l1.h"
 #include "lds/server_l2.h"
 #include "lds/writer.h"
-#include "net/network.h"
 #include "storage/backend.h"
 
 namespace lds::core {
 
-class LdsCluster {
+class LdsCluster final : public Cluster {
  public:
   enum class LatencyKind { Fixed, Uniform, Exponential };
+  /// Fault layers (fault_layers(), crash()): L1 then L2.
+  static constexpr std::size_t kL1 = 0;
+  static constexpr std::size_t kL2 = 1;
 
   struct Options {
     LdsConfig cfg;
@@ -53,10 +56,6 @@ class LdsCluster {
     /// The engine must outlive the cluster.
     net::Engine* engine = nullptr;
     std::size_t lane = 0;
-    /// Legacy shorthand for "SimEngine over an external simulator": several
-    /// clusters share one simulated time base.  Ignored when `engine` is
-    /// set; the pointer must outlive the cluster.
-    net::Simulator* sim = nullptr;
     /// Durable L2 mode: when non-empty, every L2 server opens a
     /// storage::DurableBackend under `<data_dir>/l2-<i>`, the cluster
     /// verifies a geometry MANIFEST against any previous incarnation, L1
@@ -82,11 +81,14 @@ class LdsCluster {
 
   explicit LdsCluster(Options opt);
 
-  net::Engine& engine() { return *engine_; }
-  std::size_t lane() const { return opt_.lane; }
-  net::Simulator& sim() { return *sim_; }
-  net::Network& net() { return *net_; }
-  History& history() { return history_; }
+  void write(std::size_t writer, ObjectId obj, Value value,
+             WriteCallback cb = {}) override;
+  void read(std::size_t reader, ObjectId obj, ReadCallback cb = {}) override;
+  std::vector<FaultLayer> fault_layers() const override {
+    return {{opt_.cfg.n1, opt_.cfg.f1}, {opt_.cfg.n2, opt_.cfg.f2}};
+  }
+  void crash(std::size_t layer, std::size_t index) override;
+
   StorageMeter& meter() { return meter_; }
   const LdsContext& ctx() const { return *ctx_; }
   std::shared_ptr<const LdsContext> ctx_ptr() const { return ctx_; }
@@ -140,17 +142,11 @@ class LdsCluster {
   void read_at(net::SimTime t, std::size_t reader_idx, ObjectId obj,
                Reader::Callback cb = {});
 
-  /// Invoke a write now and run the simulation until it completes.
-  /// Returns the tag it wrote.  Aborts if the simulation drains first.
-  Tag write_sync(std::size_t writer_idx, ObjectId obj, Value value);
-
-  /// Invoke a read now and run the simulation until it completes.
-  std::pair<Tag, Value> read_sync(std::size_t reader_idx, ObjectId obj);
-
-  /// Run until no events remain; returns events executed.  With an external
-  /// simulator this drains the *shared* queue, i.e. every attached cluster.
+  /// Run the lane until no events remain; returns events executed.  The
+  /// lane's queue is shared: on an engine lane that hosts other clusters
+  /// (e.g. a store's shards), this drains theirs too.
   std::size_t settle(std::size_t max_events = SIZE_MAX) {
-    return sim_->run(max_events);
+    return sim().run(max_events);
   }
 
  private:
@@ -167,12 +163,7 @@ class LdsCluster {
   void recover_from_storage();
 
   Options opt_;
-  std::unique_ptr<net::SimEngine> owned_engine_;
-  net::Engine* engine_ = nullptr;
-  net::Simulator* sim_ = nullptr;
-  std::unique_ptr<net::Network> net_;
   std::shared_ptr<LdsContext> ctx_;
-  History history_;
   StorageMeter meter_;
   std::vector<std::unique_ptr<ServerL1>> l1_;
   std::vector<std::unique_ptr<ServerL2>> l2_;

@@ -74,7 +74,9 @@ bool ServerL2::store(ObjectId obj, Tag tag, Bytes element) {
     ctx_->meter->add_l2(st.element.size());
     ctx_->meter->sub_l2(old_size);
   }
-  return true;
+  // Checkpoint only now: the snapshot lists objects_, and the segment it
+  // truncates holds this element's record.
+  return backend_ == nullptr || backend_->checkpoint_if_due().ok();
 }
 
 void ServerL2::recovery_store(ObjectId obj, Tag tag, Bytes element) {

@@ -106,8 +106,9 @@ class ServerL2 final : public net::Node {
 
   ObjectState& object(ObjectId obj);
   const ObjectState& object(ObjectId obj) const;
-  /// Persist (durable mode) then apply in RAM.  False = the backend
-  /// refused (poisoned / injected fault); the caller must not acknowledge.
+  /// Persist (durable mode), apply in RAM, then checkpoint if one is due.
+  /// False = the backend refused the put or the checkpoint (poisoned /
+  /// injected fault); the caller must not acknowledge.
   bool store(ObjectId obj, Tag tag, Bytes element);
   /// Durable mode: tell every L1 server this element is durable here.
   void broadcast_durable_ack(ObjectId obj, Tag tag);

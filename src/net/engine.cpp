@@ -31,15 +31,11 @@ thread_local std::size_t tls_lane = 0;
 
 // ---- SimEngine --------------------------------------------------------------
 
-SimEngine::SimEngine(std::uint64_t seed)
-    : owned_(std::make_unique<Simulator>()), sim_(owned_.get()), seed_(seed) {}
-
-SimEngine::SimEngine(Simulator& external, std::uint64_t seed)
-    : sim_(&external), seed_(seed) {}
+SimEngine::SimEngine(std::uint64_t seed) : seed_(seed) {}
 
 Simulator& SimEngine::lane_sim(std::size_t lane) {
   LDS_REQUIRE(lane == 0, "SimEngine: lane out of range");
-  return *sim_;
+  return sim_;
 }
 
 std::uint64_t SimEngine::lane_seed(std::size_t lane) const {
@@ -53,11 +49,11 @@ void SimEngine::post(std::size_t lane, Task fn) {
 }
 
 void SimEngine::after_here(SimTime delay, Task fn) {
-  sim_->after(delay, std::move(fn));
+  sim_.after(delay, std::move(fn));
 }
 
 bool SimEngine::drain_until(const std::function<bool()>& settled) {
-  while (!settled() && sim_->step()) {
+  while (!settled() && sim_.step()) {
   }
   return settled();
 }

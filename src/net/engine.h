@@ -7,10 +7,10 @@
 // (clusters, the store service, the harness) schedules onto a lane instead of
 // onto a concrete Simulator.  Two implementations:
 //
-//   * SimEngine — one lane wrapping a single discrete-event Simulator (owned,
-//     or external so several clusters share one time base).  This is the
-//     deterministic mode: executions are bit-reproducible for a fixed seed,
-//     exactly as before the engine abstraction existed.
+//   * SimEngine — one lane over one owned discrete-event Simulator.  This is
+//     the deterministic mode: executions are bit-reproducible for a fixed
+//     seed.  Clusters that share a time base share the engine's lane (a
+//     deterministic StoreService runs every shard on it).
 //
 //   * ParallelEngine — N lanes, each a worker OS thread free-running its own
 //     Simulator.  Lanes share nothing; cross-lane communication happens only
@@ -114,13 +114,9 @@ class Engine {
 /// Deterministic engine: one lane over one discrete-event Simulator.
 class SimEngine final : public Engine {
  public:
-  /// Own a fresh simulator.
   explicit SimEngine(std::uint64_t seed = 1);
-  /// Wrap an external simulator (the pre-engine "shared Simulator" pattern:
-  /// several clusters on one time base).  Must outlive the engine.
-  explicit SimEngine(Simulator& external, std::uint64_t seed = 1);
 
-  Simulator& sim() { return *sim_; }
+  Simulator& sim() { return sim_; }
 
   const char* name() const override { return "sim"; }
   bool deterministic() const override { return true; }
@@ -130,15 +126,14 @@ class SimEngine final : public Engine {
   void post(std::size_t lane, Task fn) override;
   std::optional<std::size_t> current_lane() const override { return 0; }
   void after_here(SimTime delay, Task fn) override;
-  void drain() override { sim_->run(); }
+  void drain() override { sim_.run(); }
   bool drain_until(const std::function<bool()>& settled) override;
   std::uint64_t events_executed() const override {
-    return sim_->events_executed();
+    return sim_.events_executed();
   }
 
  private:
-  std::unique_ptr<Simulator> owned_;
-  Simulator* sim_ = nullptr;
+  Simulator sim_;
   std::uint64_t seed_ = 1;
 };
 

@@ -93,10 +93,14 @@ Status DurableBackend::put(ObjectId obj, Tag tag, const Bytes& element) {
   const Bytes rec = encode_put(obj, tag, element);
   if (auto st = wal_->append(rec); !st.ok()) return st;
   bytes_since_checkpoint_ += rec.size();
-  if (bytes_since_checkpoint_ >= policy_.checkpoint_bytes && snapshot_) {
-    return checkpoint_now();
-  }
   return Status::Ok();
+}
+
+Status DurableBackend::checkpoint_if_due() {
+  if (bytes_since_checkpoint_ < policy_.checkpoint_bytes || !snapshot_) {
+    return Status::Ok();
+  }
+  return checkpoint_now();
 }
 
 Status DurableBackend::forget(ObjectId obj) {

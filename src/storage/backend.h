@@ -75,8 +75,14 @@ class Backend {
   virtual void set_snapshot_source(SnapshotSource source) = 0;
 
   /// Persist one element, durable per policy on Ok.  Unavailable once
-  /// poisoned.  May trigger a checkpoint per DurabilityPolicy.
+  /// poisoned.  Never checkpoints: the snapshot lists the owner's live map,
+  /// which holds the element only after put returns.
   virtual Status put(ObjectId obj, Tag tag, const Bytes& element) = 0;
+
+  /// Checkpoint when DurabilityPolicy::checkpoint_bytes of WAL accumulated
+  /// since the last one.  The owner calls it after applying a put to its
+  /// live map, so the snapshot covers the records the checkpoint drops.
+  virtual Status checkpoint_if_due() = 0;
 
   /// Persist a tombstone (forget_object).
   virtual Status forget(ObjectId obj) = 0;
@@ -112,6 +118,7 @@ class DurableBackend final : public Backend {
     snapshot_ = std::move(source);
   }
   Status put(ObjectId obj, Tag tag, const Bytes& element) override;
+  Status checkpoint_if_due() override;
   Status forget(ObjectId obj) override;
   Status checkpoint_now() override;
   Status sync() override { return wal_->sync(); }

@@ -94,7 +94,7 @@ PutResult Client::remote_put_op(
       }
     }
     PutResult r = attempt(budget);
-    if (r.ok || !opts.retry.retriable(r.status) ||
+    if (r.status.ok() || !opts.retry.retriable(r.status) ||
         n >= opts.retry.max_attempts) {
       return r;
     }
@@ -448,7 +448,7 @@ void Client::attempt_put_op(const std::string& key, Value value,
   (*submit)(key, value, [this, key, value, opts, op, attempt, backoff,
                          submit](const PutResult& r) mutable {
     if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
-    if (!r.ok && opts.retry.retriable(r.status) &&
+    if (!r.status.ok() && opts.retry.retriable(r.status) &&
         attempt < opts.retry.max_attempts) {
       svc_->engine().after_here(backoff, [this, key, value = std::move(value),
                                           opts, op = std::move(op), attempt,
@@ -590,7 +590,7 @@ void Client::cached_get(const std::string& key, GetCallback cb,
       key,
       [this, key, opts, cb = std::move(cb),
        cached = std::move(*entry)](const GetResult& r) mutable {
-        if (r.ok) {
+        if (r.status.ok()) {
           if (r.version == cached.version) {
             client_metrics_.counter("cache_hits").inc();
             client_metrics_.counter("wire_value_bytes_saved")
@@ -628,7 +628,9 @@ void Client::cached_get(const std::string& key, GetCallback cb,
 void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {
   raw_get(key,
           [this, key, cb = std::move(cb)](const GetResult& r) {
-            if (r.ok) cache_->update(key, r.version, r.value, cache_now());
+            if (r.status.ok()) {
+              cache_->update(key, r.version, r.value, cache_now());
+            }
             if (cb) cb(r);
           },
           opts);
@@ -637,7 +639,7 @@ void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {
 Client::PutCallback Client::wrap_put_cb(const std::string& key,
                                         const Value& value, PutCallback cb) {
   return [this, key, value, cb = std::move(cb)](const PutResult& r) {
-    if (r.ok) {
+    if (r.status.ok()) {
       if (r.coalesced) {
         // Durable, but a newer same-key put of the same batch window won:
         // a read returns the survivor's value, not ours.  Drop the entry.
@@ -752,7 +754,7 @@ Result<Version> Client::put_sync(const std::string& key, Value value,
     // Remote async ops block inline, so the callback has fired by return.
     PutResult rr;
     put(key, std::move(value), [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.ok) return rr.status;
+    if (!rr.status.ok()) return rr.status;
     return rr.version;
   }
   const PutResult r = run_op_sync<PutResult>(
@@ -763,7 +765,7 @@ Result<Version> Client::put_sync(const std::string& key, Value value,
             [done = std::move(done)](const PutResult& pr) { done(pr); },
             opts);
       });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return r.version;
 }
 
@@ -772,7 +774,7 @@ Result<VersionedValue> Client::get_sync(const std::string& key,
   if (remote()) {
     GetResult rr;
     get(key, [&rr](const GetResult& gr) { rr = gr; }, opts);
-    if (!rr.ok) return rr.status;
+    if (!rr.status.ok()) return rr.status;
     return VersionedValue{rr.version, rr.value};
   }
   const GetResult r = run_op_sync<GetResult>(
@@ -782,7 +784,7 @@ Result<VersionedValue> Client::get_sync(const std::string& key,
         get(key, [done = std::move(done)](const GetResult& gr) { done(gr); },
             opts);
       });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return VersionedValue{r.version, r.value};
 }
 
@@ -793,7 +795,7 @@ Result<Version> Client::put_if_version_sync(const std::string& key,
     PutResult rr;
     put_if_version(key, std::move(value), expected,
                    [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.ok) return rr.status;
+    if (!rr.status.ok()) return rr.status;
     return rr.version;
   }
   const PutResult r = run_op_sync<PutResult>(
@@ -804,7 +806,7 @@ Result<Version> Client::put_if_version_sync(const std::string& key,
             key, std::move(value), expected,
             [done = std::move(done)](const PutResult& pr) { done(pr); }, opts);
       });
-  if (!r.ok) return r.status;
+  if (!r.status.ok()) return r.status;
   return r.version;
 }
 

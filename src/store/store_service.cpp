@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "baselines/abd.h"
+#include "baselines/cas.h"
 #include "common/assert.h"
 #include "lds/cluster.h"
 #include "member/coordinator.h"
@@ -115,6 +117,19 @@ StoreService::StoreService(StoreOptions opt)
     LDS_REQUIRE(fabric == nullptr || sh->spec.protocol == ShardProtocol::Lds,
                 "StoreService: membership fabric requires an LDS shard");
     const std::uint64_t shard_seed = mix_seed(opt_.seed, s + 1);
+    // The option fields ABD and CAS share.
+    auto single_layer = [&](auto copt) {
+      copt.n = sh->spec.n;
+      copt.writers = opt_.writers_per_shard;
+      copt.readers = opt_.readers_per_shard;
+      copt.tau1 = opt_.tau1;
+      copt.seed = shard_seed;
+      copt.exponential_latency = opt_.exponential_latency;
+      copt.engine = engine_.get();
+      copt.lane = sh->lane;
+      return copt;
+    };
+    // The one place a shard's protocol is chosen.
     switch (sh->spec.protocol) {
       case ShardProtocol::Lds: {
         any_lds = true;
@@ -155,7 +170,9 @@ StoreService::StoreService(StoreOptions opt)
             if (v.process_of(id) != fabric->self()) copt.remote_l2.insert(i);
           }
         }
-        sh->lds = std::make_unique<core::LdsCluster>(copt);
+        auto lds = std::make_unique<core::LdsCluster>(copt);
+        sh->lds = lds.get();
+        sh->cluster = std::move(lds);
         if (durable) {
           auto kl = storage::KeyLog::open(copt.data_dir + "/keys",
                                           opt_.durability);
@@ -170,48 +187,31 @@ StoreService::StoreService(StoreOptions opt)
             sh->objects.emplace(key, static_cast<ObjectId>(sh->objects.size()));
           }
         }
-        sh->l1_down.assign(sh->spec.n1, false);
-        sh->l2_down.assign(sh->spec.n2, false);
         break;
       }
       case ShardProtocol::Abd: {
         baselines::AbdCluster::Options copt;
-        copt.n = sh->spec.n;
         copt.f = sh->spec.f;
-        copt.writers = opt_.writers_per_shard;
-        copt.readers = opt_.readers_per_shard;
-        copt.tau1 = opt_.tau1;
-        copt.seed = shard_seed;
-        copt.exponential_latency = opt_.exponential_latency;
-        copt.engine = engine_.get();
-        copt.lane = sh->lane;
-        sh->abd = std::make_unique<baselines::AbdCluster>(copt);
-        sh->srv_down.assign(sh->spec.n, false);
+        sh->cluster =
+            std::make_unique<baselines::AbdCluster>(single_layer(copt));
         break;
       }
       case ShardProtocol::Cas: {
         baselines::CasCluster::Options copt;
-        copt.n = sh->spec.n;
         copt.k = sh->spec.n - 2 * sh->spec.f;
-        copt.writers = opt_.writers_per_shard;
-        copt.readers = opt_.readers_per_shard;
-        copt.tau1 = opt_.tau1;
-        copt.seed = shard_seed;
-        copt.exponential_latency = opt_.exponential_latency;
-        copt.engine = engine_.get();
-        copt.lane = sh->lane;
-        sh->cas = std::make_unique<baselines::CasCluster>(copt);
-        sh->srv_down.assign(sh->spec.n, false);
+        sh->cluster =
+            std::make_unique<baselines::CasCluster>(single_layer(copt));
         break;
       }
     }
+    sh->budget = core::FailureBudget(sh->cluster->fault_layers());
     for (std::size_t w = 0; w < opt_.writers_per_shard; ++w) {
       sh->free_writers.push_back(w);
     }
     for (std::size_t r = 0; r < opt_.readers_per_shard; ++r) {
       sh->free_readers.push_back(r);
     }
-    if (sh->spec.protocol == ShardProtocol::Lds) {
+    if (sh->lds != nullptr) {
       for (std::size_t r = 0; r < opt_.regular_readers_per_shard; ++r) {
         sh->free_regular_readers.push_back(r);
       }
@@ -235,11 +235,12 @@ StoreService::StoreService(StoreOptions opt)
     });
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard* sh = shards_[s].get();
-      if (sh->spec.protocol != ShardProtocol::Lds) continue;
+      if (sh->lds == nullptr) continue;
       // f2 = 0 means no crash budget at all: nothing can ever be injected,
       // and a (heavy-tail) false suspicion could never claim a slot, so a
       // manager would only risk deferring forever.  Leave it unmanaged.
       if (sh->spec.f2 == 0) continue;
+      constexpr std::size_t kL2 = core::LdsCluster::kL2;
       repair_->attach_shard(
           s, *sh->lds,
           /*may_replace=*/
@@ -247,23 +248,17 @@ StoreService::StoreService(StoreOptions opt)
             // A victim we crashed already holds a budget slot; a false
             // suspicion may only proceed while the budget has room for the
             // healthy server's data to go briefly missing.
-            return sh->l2_down[i] ||
-                   sh->l2_down_count.load(std::memory_order_acquire) <
-                       sh->spec.f2;
+            return sh->budget.down(kL2, i) || sh->budget.has_room(kL2);
           },
           /*on_replaced=*/
           [this, s, sh](std::size_t i) {
-            if (!sh->l2_down[i]) {
-              sh->l2_down[i] = true;
-              sh->l2_down_count.fetch_add(1, std::memory_order_acq_rel);
+            if (!sh->budget.down(kL2, i)) {
+              sh->budget.mark_down(kL2, i);
               metrics_.counter("false_suspicions", s).inc();
             }
           },
           /*on_repaired=*/
-          [sh](std::size_t i) {
-            sh->l2_down[i] = false;
-            sh->l2_down_count.fetch_sub(1, std::memory_order_acq_rel);
-          },
+          [sh](std::size_t i) { sh->budget.mark_up(kL2, i); },
           /*lane=*/sh->lane);
     }
     // Recovered objects never pass through intern(), so register them with
@@ -355,17 +350,6 @@ void StoreService::stop_listening() {
   if (remote_ != nullptr) remote_->stop();
 }
 
-const core::History& StoreService::shard_history(std::size_t s) const {
-  const Shard& sh = *shards_.at(s);
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds: return sh.lds->history();
-    case ShardProtocol::Abd: return sh.abd->history();
-    case ShardProtocol::Cas: return sh.cas->history();
-  }
-  LDS_REQUIRE(false, "unreachable");
-  return sh.lds->history();
-}
-
 Result<ObjectId> StoreService::intern(Shard& sh, std::size_t shard_idx,
                                       const std::string& key) {
   auto it = sh.objects.find(key);
@@ -382,8 +366,7 @@ Result<ObjectId> StoreService::intern(Shard& sh, std::size_t shard_idx,
   const auto obj = static_cast<ObjectId>(sh.objects.size());
   sh.objects.emplace(key, obj);
   metrics_.counter("objects_created", shard_idx).inc();
-  if (repair_ && sh.spec.protocol == ShardProtocol::Lds &&
-      repair_->has_shard(shard_idx)) {
+  if (repair_ && repair_->has_shard(shard_idx)) {
     repair_->track_object(shard_idx, obj);
   }
   return obj;
@@ -528,7 +511,7 @@ void StoreService::dispatch_put(std::size_t shard_idx, std::size_t writer,
     done_sh.free_writers.push_back(writer);
     pump_puts(shard_idx);
   };
-  cluster_write(sh, writer, p.obj, std::move(value), std::move(done));
+  sh.cluster->write(writer, p.obj, std::move(value), std::move(done));
 }
 
 // ---- gets -------------------------------------------------------------------
@@ -536,11 +519,10 @@ void StoreService::dispatch_put(std::size_t shard_idx, std::size_t writer,
 void StoreService::get(const std::string& key, GetCallback cb, ReadMode mode) {
   const std::size_t s = router_.shard_of(key);
   Shard& sh = *shards_[s];
-  // Regular reads need an LDS shard with a provisioned pool; the shard spec
-  // is immutable, so this check is safe from any submitting thread.
+  // Regular reads need an LDS shard with a provisioned pool; both are fixed
+  // at construction, so this check is safe from any submitting thread.
   if (mode == ReadMode::Regular &&
-      (sh.spec.protocol != ShardProtocol::Lds ||
-       opt_.regular_readers_per_shard == 0)) {
+      (sh.lds == nullptr || opt_.regular_readers_per_shard == 0)) {
     metrics_.counter("gets_invalid", s).inc();
     if (cb) {
       cb(GetResult::failure(Status::InvalidArgument(
@@ -551,7 +533,7 @@ void StoreService::get(const std::string& key, GetCallback cb, ReadMode mode) {
   // Tag-only validation rounds are an LDS protocol feature (the committed-tag
   // quorum phase); other shard protocols have no equivalent, so the client
   // learns to stop trying via InvalidArgument.
-  if (mode == ReadMode::TagOnly && sh.spec.protocol != ShardProtocol::Lds) {
+  if (mode == ReadMode::TagOnly && sh.lds == nullptr) {
     metrics_.counter("gets_invalid", s).inc();
     if (cb) {
       cb(GetResult::failure(Status::InvalidArgument(
@@ -643,7 +625,17 @@ void StoreService::dispatch_get(std::size_t shard_idx, std::size_t reader,
         .push_back(reader);
     pump_gets(shard_idx);
   };
-  cluster_read(sh, reader, obj, std::move(done), mode);
+  switch (mode) {
+    case ReadMode::Atomic:
+      sh.cluster->read(reader, obj, std::move(done));
+      return;
+    case ReadMode::Regular:
+      sh.lds->regular_reader(reader).read(obj, std::move(done));
+      return;
+    case ReadMode::TagOnly:
+      sh.lds->reader(reader).read_tag(obj, std::move(done));
+      return;
+  }
 }
 
 // ---- conditional puts -------------------------------------------------------
@@ -812,45 +804,6 @@ void StoreService::multi_put(std::vector<KeyValue> entries,
   }
 }
 
-// ---- cluster dispatch -------------------------------------------------------
-
-void StoreService::cluster_write(Shard& sh, std::size_t writer, ObjectId obj,
-                                 Value value, std::function<void(Tag)> done) {
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds:
-      sh.lds->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-    case ShardProtocol::Abd:
-      sh.abd->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-    case ShardProtocol::Cas:
-      sh.cas->writer(writer).write(obj, std::move(value), std::move(done));
-      return;
-  }
-}
-
-void StoreService::cluster_read(Shard& sh, std::size_t reader, ObjectId obj,
-                                std::function<void(Tag, Value)> done,
-                                ReadMode mode) {
-  switch (sh.spec.protocol) {
-    case ShardProtocol::Lds:
-      if (mode == ReadMode::TagOnly) {
-        sh.lds->reader(reader).read_tag(obj, std::move(done));
-        return;
-      }
-      (mode == ReadMode::Regular ? sh.lds->regular_reader(reader)
-                                 : sh.lds->reader(reader))
-          .read(obj, std::move(done));
-      return;
-    case ShardProtocol::Abd:
-      sh.abd->reader(reader).read(obj, std::move(done));
-      return;
-    case ShardProtocol::Cas:
-      sh.cas->reader(reader).read(obj, std::move(done));
-      return;
-  }
-}
-
 // ---- sync wrappers ----------------------------------------------------------
 
 using detail::run_op_sync;
@@ -901,55 +854,17 @@ std::vector<PutResult> StoreService::multi_put_sync(
 
 // ---- crash injection & quiescence -------------------------------------------
 
-namespace {
-std::size_t pick_healthy(const std::vector<bool>& down, Rng& rng) {
-  std::vector<std::size_t> healthy;
-  for (std::size_t i = 0; i < down.size(); ++i) {
-    if (!down[i]) healthy.push_back(i);
-  }
-  LDS_REQUIRE(!healthy.empty(), "pick_healthy: no healthy server");
-  return healthy[static_cast<std::size_t>(rng.uniform_int(
-      0, static_cast<std::int64_t>(healthy.size()) - 1))];
-}
-}  // namespace
-
 bool StoreService::inject_crash_on_lane(std::size_t shard, Rng& rng) {
   Shard& sh = *shards_.at(shard);
-  if (sh.spec.protocol != ShardProtocol::Lds) {
-    if (sh.srv_down_count.load(std::memory_order_acquire) >= sh.spec.f) {
-      return false;
-    }
-    const std::size_t victim = pick_healthy(sh.srv_down, rng);
-    sh.srv_down[victim] = true;
-    sh.srv_down_count.fetch_add(1, std::memory_order_acq_rel);
-    metrics_.counter("crashes", shard).inc();
-    if (sh.spec.protocol == ShardProtocol::Abd) {
-      sh.abd->crash_server(victim);
-    } else {
-      sh.cas->crash_server(victim);
-    }
-    return true;
-  }
-
-  const bool can_l1 =
-      sh.l1_down_count.load(std::memory_order_acquire) < sh.spec.f1;
-  const bool can_l2 =
-      sh.l2_down_count.load(std::memory_order_acquire) < sh.spec.f2;
-  if (!can_l1 && !can_l2) return false;
-  const bool hit_l2 = can_l2 && (!can_l1 || rng.bernoulli(0.5));
-  if (hit_l2) {
-    const std::size_t victim = pick_healthy(sh.l2_down, rng);
-    sh.l2_down[victim] = true;
-    sh.l2_down_count.fetch_add(1, std::memory_order_acq_rel);
-    metrics_.counter("crashes_l2", shard).inc();
-    sh.lds->crash_l2(victim);
-  } else {
-    const std::size_t victim = pick_healthy(sh.l1_down, rng);
-    sh.l1_down[victim] = true;
-    sh.l1_down_count.fetch_add(1, std::memory_order_acq_rel);
-    metrics_.counter("crashes_l1", shard).inc();
-    sh.lds->crash_l1(victim);
-  }
+  const auto victim = sh.budget.pick(rng);
+  if (!victim.has_value()) return false;
+  // One crash counter per LDS layer; ABD and CAS shards have one layer.
+  static constexpr const char* kLdsCounter[] = {"crashes_l1", "crashes_l2"};
+  metrics_
+      .counter(sh.lds != nullptr ? kLdsCounter[victim->layer] : "crashes",
+               shard)
+      .inc();
+  sh.cluster->crash(victim->layer, victim->index);
   return true;
 }
 
@@ -985,8 +900,8 @@ bool StoreService::idle() const {
     if (!repair_->quiet()) return false;
     // Every injected (or falsely suspected) L2 outage must have healed.
     for (const auto& sh : shards_) {
-      if (sh->spec.protocol == ShardProtocol::Lds &&
-          sh->l2_down_count.load(std::memory_order_acquire) > 0) {
+      if (sh->lds != nullptr &&
+          sh->budget.down_count(core::LdsCluster::kL2) > 0) {
         return false;
       }
     }
@@ -1076,9 +991,7 @@ bool StoreService::drain_dispatched(double timeout_s) {
       auto fut = done->get_future();
       engine_->post(sh->lane, [this, sh, done] {
         const std::size_t regular =
-            sh->spec.protocol == ShardProtocol::Lds
-                ? opt_.regular_readers_per_shard
-                : 0;
+            sh->lds != nullptr ? opt_.regular_readers_per_shard : 0;
         done->set_value(sh->free_writers.size() == opt_.writers_per_shard &&
                         sh->free_readers.size() == opt_.readers_per_shard &&
                         sh->free_regular_readers.size() == regular);

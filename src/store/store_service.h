@@ -16,8 +16,8 @@
 //        │                      to the last value (absorbed puts complete
 //        │                      with the surviving write's tag), bounded by
 //        │                      an admission limit
-//   shard backends ── each shard owns its own LdsCluster (L2 code via
-//        │            codes::factory) or an ABD / CAS baseline cluster,
+//   shard clusters ── each shard owns one core::Cluster: an LdsCluster (L2
+//        │            code via codes::factory) or an ABD / CAS baseline,
 //        │            scheduled onto ONE lane of the service's execution
 //        │            engine (net/engine.h)
 //   RepairScheduler ── background heartbeat detection + regeneration of
@@ -55,13 +55,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/abd.h"
-#include "baselines/cas.h"
 #include "codes/factory.h"
 #include "common/rng.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "lds/cluster.h"
+#include "lds/cluster_base.h"
 #include "net/engine.h"
 #include "storage/manifest.h"
 #include "store/metrics.h"
@@ -156,10 +155,8 @@ struct StoreOptions {
 /// the cached value is still current.
 enum class ReadMode : std::uint8_t { Atomic, Regular, TagOnly };
 
-/// Outcome of a put.  `status` is authoritative (see common/status.h for the
-/// taxonomy); `ok`/`error` are derived at construction so seed-era call
-/// sites (`r.ok`, `r.error`) keep compiling during the migration, and `tag`
-/// is the raw token behind the typed `version`.
+/// Outcome of a put.  `status` is the verdict (see common/status.h for the
+/// taxonomy); `tag` is the raw token behind the typed `version`.
 struct PutResult {
   Status status;
   Tag tag;
@@ -169,20 +166,16 @@ struct PutResult {
   /// a read of the key returns the survivor's value, not this one.  The
   /// remote bench uses this to record only linearization-visible writes.
   bool coalesced = false;
-  bool ok = false;        ///< derived: status.ok()
-  std::string error;      ///< derived: status.to_string() when !ok
 
   PutResult() = default;
   static PutResult success(Tag t) {
     PutResult r;
     r.tag = t;
     r.version = Version(t);
-    r.ok = true;
     return r;
   }
   static PutResult failure(Status s) {
     PutResult r;
-    r.error = s.to_string();
     r.status = std::move(s);
     return r;
   }
@@ -195,8 +188,6 @@ struct GetResult {
   Tag tag;
   Version version;
   Value value;
-  bool ok = false;
-  std::string error;
 
   GetResult() = default;
   static GetResult success(Tag t, Value v) {
@@ -204,12 +195,10 @@ struct GetResult {
     r.tag = t;
     r.version = Version(t);
     r.value = std::move(v);
-    r.ok = true;
     return r;
   }
   static GetResult failure(Status s) {
     GetResult r;
-    r.error = s.to_string();
     r.status = std::move(s);
     return r;
   }
@@ -330,11 +319,13 @@ class StoreService {
   /// The shard's LDS cluster (nullptr for ABD/CAS shards).  Quiescent-lane
   /// introspection only (storage meters, cost accounting, direct crash
   /// injection in tests).
-  core::LdsCluster* shard_lds(std::size_t s) { return shards_.at(s)->lds.get(); }
+  core::LdsCluster* shard_lds(std::size_t s) { return shards_.at(s)->lds; }
   /// The shard's recorded operation history (for the linearizability
   /// checkers); absorbed puts never reach it by design.  Stable only while
   /// the shard's lane is quiescent (e.g. after quiesce()).
-  const core::History& shard_history(std::size_t s) const;
+  const core::History& shard_history(std::size_t s) const {
+    return shards_.at(s)->cluster->history();
+  }
   /// Keys currently interned on one shard (quiescent lanes only).
   std::size_t shard_objects(std::size_t s) const {
     return shards_.at(s)->objects.size();
@@ -409,9 +400,14 @@ class StoreService {
     ShardBackend spec;
     std::size_t lane = 0;               ///< engine lane this shard runs on
     net::Simulator* sim = nullptr;      ///< == engine->lane_sim(lane)
-    std::unique_ptr<core::LdsCluster> lds;
-    std::unique_ptr<baselines::AbdCluster> abd;
-    std::unique_ptr<baselines::CasCluster> cas;
+    std::unique_ptr<core::Cluster> cluster;
+    /// The same cluster, typed, on LDS shards (null otherwise): only for
+    /// LDS-only features (TagOnly/Regular reads, repair, fabric surgery,
+    /// per-layer crash counters).
+    core::LdsCluster* lds = nullptr;
+    /// Crash budget over the cluster's fault layers; its per-layer down
+    /// counts are atomic so the idle() poll can read them cross-thread.
+    core::FailureBudget budget;
     /// Durable mode: persisted key→ObjectId bindings (null in RAM mode).
     std::unique_ptr<storage::KeyLog> keylog;
     std::unordered_map<std::string, ObjectId> objects;
@@ -439,11 +435,6 @@ class StoreService {
     /// Admission accounting; atomic because admission happens on the
     /// submitting thread while completion happens on the lane.
     std::atomic<std::size_t> puts_in_flight{0};
-    // Failure budgets: vectors are lane-local, counts are atomic so the
-    // idle() poll can read them cross-thread.
-    std::vector<bool> l1_down, l2_down, srv_down;
-    std::atomic<std::size_t> l1_down_count{0}, l2_down_count{0},
-        srv_down_count{0};
   };
 
   /// Bind `key` to a shard-local ObjectId, persisting the binding first in
@@ -462,10 +453,6 @@ class StoreService {
   void pump_gets(std::size_t shard_idx);
   void dispatch_put(std::size_t shard_idx, std::size_t writer, PendingPut p);
   void dispatch_get(std::size_t shard_idx, std::size_t reader, PendingGet g);
-  void cluster_write(Shard& sh, std::size_t writer, ObjectId obj, Value value,
-                     std::function<void(Tag)> done);
-  void cluster_read(Shard& sh, std::size_t reader, ObjectId obj,
-                    std::function<void(Tag, Value)> done, ReadMode mode);
   /// Release one admission slot + the outstanding gauge and complete `cb`
   /// with `r` (gauges drop before the callback, as in dispatch_put).
   void finish_put(std::size_t shard_idx, const PutCallback& cb,

@@ -44,15 +44,6 @@ TEST(SimEngine, PostRunsInlineAndAfterHereSchedules) {
   EXPECT_GE(e.events_executed(), 1u);
 }
 
-TEST(SimEngine, WrapsAnExternalSimulatorUnchanged) {
-  net::Simulator sim;
-  sim.after(1.0, [] {});
-  SimEngine e(sim);
-  EXPECT_EQ(&e.lane_sim(0), &sim);  // the same time base, not a copy
-  e.drain();
-  EXPECT_TRUE(sim.idle());
-}
-
 TEST(SimEngine, DrainUntilStopsAtThePredicate) {
   SimEngine e;
   int fired = 0;
@@ -307,9 +298,9 @@ TEST(ParallelStore, SyncWrappersRoundTrip) {
   sopt.seed = 5;
   store::StoreService svc(sopt);
   const auto put = svc.put_sync("alpha", Bytes{1, 2, 3});
-  ASSERT_TRUE(put.ok);
+  ASSERT_TRUE(put.status.ok());
   const auto get = svc.get_sync("alpha");
-  ASSERT_TRUE(get.ok);
+  ASSERT_TRUE(get.status.ok());
   EXPECT_EQ(get.value, (Bytes{1, 2, 3}));
   EXPECT_EQ(get.tag, put.tag);
   const auto multi = svc.multi_get_sync({"alpha", "beta"});
@@ -317,7 +308,7 @@ TEST(ParallelStore, SyncWrappersRoundTrip) {
   EXPECT_EQ(multi[0].value, (Bytes{1, 2, 3}));
   // Unwritten keys report NotFound instead of interning + reading v0.
   EXPECT_TRUE(multi[1].status.is(StatusCode::kNotFound));
-  EXPECT_FALSE(multi[1].ok);
+  EXPECT_FALSE(multi[1].status.ok());
   EXPECT_EQ(svc.outstanding(), 0u);
 }
 

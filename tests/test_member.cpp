@@ -366,7 +366,7 @@ TEST(MemberIntegration, StoreSpansPeerAndMovesBack) {
   for (int i = 0; i < 8; ++i) {
     const auto r = svc.put_sync("key-" + std::to_string(i % 4),
                                 Value(Bytes(64, static_cast<std::uint8_t>(i))));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
   }
 
   PeerHost::Options po;
@@ -388,9 +388,9 @@ TEST(MemberIntegration, StoreSpansPeerAndMovesBack) {
   for (int i = 0; i < 12; ++i) {
     const std::string key = "key-" + std::to_string(i % 4);
     const auto p = svc.put_sync(key, Value(Bytes(64, static_cast<std::uint8_t>(i))));
-    ASSERT_TRUE(p.ok) << p.error;
+    ASSERT_TRUE(p.status.ok()) << p.status.to_string();
     const auto g = svc.get_sync(key);
-    ASSERT_TRUE(g.ok) << g.error;
+    ASSERT_TRUE(g.status.ok()) << g.status.to_string();
   }
 
   // Runtime move: pull both L2 servers home (the admin path lds_stress's
@@ -411,9 +411,9 @@ TEST(MemberIntegration, StoreSpansPeerAndMovesBack) {
   for (int i = 0; i < 8; ++i) {
     const std::string key = "key-" + std::to_string(i % 4);
     const auto g = svc.get_sync(key);
-    ASSERT_TRUE(g.ok) << g.error;
+    ASSERT_TRUE(g.status.ok()) << g.status.to_string();
     const auto p = svc.put_sync(key, Value(Bytes(64, 0xAB)));
-    ASSERT_TRUE(p.ok) << p.error;
+    ASSERT_TRUE(p.status.ok()) << p.status.to_string();
   }
 
   // Epoch query through the same admin seam.

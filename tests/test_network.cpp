@@ -41,8 +41,9 @@ class Recorder final : public Node {
 };
 
 struct Fixture {
-  Simulator sim;
-  Network net{sim, std::make_unique<FixedLatency>(1.0, 0.5, 10.0), 7};
+  SimEngine engine;
+  Simulator& sim = engine.sim();
+  Network net{engine, 0, std::make_unique<FixedLatency>(1.0, 0.5, 10.0), 7};
 };
 
 TEST(Network, DeliversWithClassLatency) {

@@ -714,6 +714,32 @@ TEST(DurableCluster, DivergentUnackedTagIsDowngradedToCertifiedTag) {
   }
 }
 
+TEST(DurableCluster, AckedWriteSurvivesCheckpointOnItsOwnPut) {
+  // checkpoint_bytes = 1: every put crosses the threshold, so each L2
+  // checkpoints right after persisting the element.  The snapshot must
+  // already list that element, because the checkpoint drops the WAL
+  // segment holding its record.
+  storage::ScopedDir dir("cluster_ckpt_own_put");
+  auto opt = durable_options(dir.path);
+  opt.durability.checkpoint_bytes = 1;
+  Rng rng(9);
+  Tag acked;
+  Bytes v;
+  {
+    LdsCluster c(opt);
+    c.write_sync(0, 0, rng.bytes(96));
+    v = rng.bytes(96);
+    acked = c.write_sync(0, 0, v);
+    c.settle();
+  }
+  LdsCluster c(opt);
+  ASSERT_EQ(c.recovered_objects().size(), 1u);
+  EXPECT_EQ(c.recovered_objects()[0].second, acked);
+  auto [rt, rv] = c.read_sync(0, 0);
+  EXPECT_EQ(rt, acked);
+  EXPECT_EQ(rv, v);
+}
+
 TEST(DurableCluster, RecoveryThenRepairStaysVerifierClean) {
   storage::ScopedDir dir("cluster_repair");
   Tag wt;
@@ -781,7 +807,7 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
       const std::string key = "key-" + std::to_string(i);
       const Bytes v(40 + i, static_cast<std::uint8_t>(i + 1));
       const auto put = svc.put_sync(key, v);
-      ASSERT_TRUE(put.ok) << put.error;
+      ASSERT_TRUE(put.status.ok()) << put.status.to_string();
       expect[key] = v;
     }
     svc.quiesce();
@@ -789,14 +815,14 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
   StoreService svc(durable_store_options(dir.path));
   for (const auto& [key, v] : expect) {
     const auto get = svc.get_sync(key);
-    ASSERT_TRUE(get.ok) << key << ": " << get.error;
+    ASSERT_TRUE(get.status.ok()) << key << ": " << get.status.to_string();
     EXPECT_EQ(get.value, v) << key;
   }
   // Overwrites after recovery behave normally.
   const auto put = svc.put_sync("key-0", Bytes{99});
-  ASSERT_TRUE(put.ok) << put.error;
+  ASSERT_TRUE(put.status.ok()) << put.status.to_string();
   const auto get = svc.get_sync("key-0");
-  ASSERT_TRUE(get.ok);
+  ASSERT_TRUE(get.status.ok());
   EXPECT_EQ(get.value, Bytes{99});
   svc.quiesce();
   expect_all_histories_clean(svc);

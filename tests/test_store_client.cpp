@@ -90,7 +90,7 @@ TEST(StoreClient, OverAdmissionIsAdmissionRejectStatus) {
   for (int i = 0; i < 5; ++i) {
     client.put("k" + std::to_string(i), Bytes{1},
                [&](const PutResult& r) {
-                 if (r.ok) {
+                 if (r.status.ok()) {
                    ++accepted;
                  } else {
                    rejected.push_back(r.status);
@@ -190,7 +190,7 @@ TEST(StoreClient, RetryPolicyRecoversFromAdmissionReject) {
 
   bool first_done = false;
   client.put("hold", Bytes{1}, [&](const PutResult& r) {
-    EXPECT_TRUE(r.ok);
+    EXPECT_TRUE(r.status.ok());
     first_done = true;
   });
 
@@ -211,7 +211,7 @@ TEST(StoreClient, RetryPolicyRecoversFromAdmissionReject) {
 
   svc.quiesce([&] { return first_done && second_done; });
   ASSERT_TRUE(second_done);
-  EXPECT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.status.ok()) << second.status.to_string();
   EXPECT_GE(svc.metrics().counter_total("puts_rejected"), 1u);
   expect_all_histories_clean(svc);
 }
@@ -310,10 +310,10 @@ TEST(StoreClient, ConditionalPutNeverOverwritesARacingWrite) {
   });
   svc.quiesce();
   ASSERT_EQ(done, 2u);
-  ASSERT_TRUE(results[0].ok);
-  ASSERT_FALSE(results[1].ok);
+  ASSERT_TRUE(results[0].status.ok());
+  ASSERT_FALSE(results[1].status.ok());
   EXPECT_TRUE(results[1].status.is(StatusCode::kAborted))
-      << results[1].error;
+      << results[1].status.to_string();
   EXPECT_EQ(svc.metrics().counter_total("puts_coalesced"), 0u);
   // The racing write survived; the CAS retry path (re-read, new expected
   // version) then succeeds with its own tag.
@@ -365,12 +365,14 @@ TEST(StoreClient, MultiPutThenMultiGetSpansShardsInOrder) {
   }
   const auto puts = client.multi_put_sync(std::move(entries));
   ASSERT_EQ(puts.size(), 12u);
-  for (const auto& r : puts) ASSERT_TRUE(r.ok) << r.error;
+  for (const auto& r : puts) {
+    ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+  }
 
   const auto gets = client.multi_get_sync(keys);
   ASSERT_EQ(gets.size(), 12u);
   for (std::size_t i = 0; i < gets.size(); ++i) {
-    EXPECT_TRUE(gets[i].ok);
+    EXPECT_TRUE(gets[i].status.ok());
     EXPECT_EQ(gets[i].value, Bytes{static_cast<std::uint8_t>(i)});
     EXPECT_EQ(gets[i].version.tag(), puts[i].version.tag());
   }

@@ -20,7 +20,8 @@ TEST(StoreRepair, CrashedL2ServersAreRebuiltBeforeQuiesceReturns) {
   StoreService svc(opt);
   Rng rng(9);
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(svc.put_sync("k" + std::to_string(i), rng.bytes(48)).ok);
+    ASSERT_TRUE(
+        svc.put_sync("k" + std::to_string(i), rng.bytes(48)).status.ok());
   }
   Rng crash_rng(2);
   std::size_t injected = 0;
@@ -41,7 +42,7 @@ TEST(StoreRepair, CrashedL2ServersAreRebuiltBeforeQuiesceReturns) {
   EXPECT_TRUE(svc.inject_crash(0, crash_rng));
   svc.quiesce();
   // Data survives the full churn.
-  EXPECT_TRUE(svc.get_sync("k3").ok);
+  EXPECT_TRUE(svc.get_sync("k3").status.ok());
   expect_all_histories_clean(svc);
 }
 
@@ -53,7 +54,8 @@ TEST(StoreRepair, GlobalBudgetBoundsConcurrentRepairs) {
   StoreService svc(opt);
   Rng rng(4);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(svc.put_sync("b" + std::to_string(i), rng.bytes(32)).ok);
+    ASSERT_TRUE(
+        svc.put_sync("b" + std::to_string(i), rng.bytes(32)).status.ok());
   }
   // Two L2 crashes on every shard, near-simultaneously.
   Rng crash_rng(6);
@@ -102,12 +104,13 @@ TEST(StoreRepair, RepairUnderLoadStaysLinearizablePerShard) {
     if (rng.bernoulli(0.5)) {
       svc.get(key, [after](const GetResult& r) {
         // Gets racing the key's first put legitimately see NotFound.
-        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.error;
+        EXPECT_TRUE(r.status.ok() || r.status.is(StatusCode::kNotFound))
+            << r.status.to_string();
         after();
       });
     } else {
       svc.put(key, rng.bytes(40), [after](const PutResult& r) {
-        EXPECT_TRUE(r.ok);
+        EXPECT_TRUE(r.status.ok());
         after();
       });
     }
@@ -135,14 +138,14 @@ TEST(StoreRepair, DisabledRepairLeavesCrashesPermanentButSafe) {
   StoreService svc(opt);
   EXPECT_EQ(svc.repair(), nullptr);
   Rng rng(3);
-  ASSERT_TRUE(svc.put_sync("x", rng.bytes(64)).ok);
+  ASSERT_TRUE(svc.put_sync("x", rng.bytes(64)).status.ok());
   Rng crash_rng(5);
   std::size_t injected = 0;
   while (svc.inject_crash(0, crash_rng)) ++injected;
   EXPECT_EQ(injected, 1 + 2);  // f1 + f2, then the budget refuses
   EXPECT_FALSE(svc.inject_crash(0, crash_rng));
   // Reads still complete within the tolerated failure budget.
-  EXPECT_TRUE(svc.get_sync("x").ok);
+  EXPECT_TRUE(svc.get_sync("x").status.ok());
   svc.quiesce();
   expect_all_histories_clean(svc);
 }
@@ -153,7 +156,7 @@ TEST(StoreRepair, MetricsCountRepairLifecycle) {
   opt.seed = 15;
   StoreService svc(opt);
   Rng rng(1);
-  ASSERT_TRUE(svc.put_sync("m", rng.bytes(16)).ok);
+  ASSERT_TRUE(svc.put_sync("m", rng.bytes(16)).status.ok());
   Rng crash_rng(7);
   // Force an L2 hit: keep injecting until one lands on L2.
   while (svc.metrics().counter_total("crashes_l2") == 0) {

@@ -27,9 +27,9 @@ TEST(StoreService, PutGetRoundTrip) {
   StoreService svc(small_options(2));
   const Bytes v{1, 2, 3, 4};
   const auto put = svc.put_sync("alpha", v);
-  ASSERT_TRUE(put.ok) << put.error;
+  ASSERT_TRUE(put.status.ok()) << put.status.to_string();
   const auto get = svc.get_sync("alpha");
-  ASSERT_TRUE(get.ok) << get.error;
+  ASSERT_TRUE(get.status.ok()) << get.status.to_string();
   EXPECT_EQ(get.value, v);
   EXPECT_EQ(get.tag, put.tag);
   EXPECT_EQ(svc.metrics().counter_total("puts"), 1u);
@@ -52,7 +52,7 @@ TEST(StoreService, SameKeyPutsCoalesceToOneWriteWithSurvivingTag) {
   }
   svc.quiesce();
   ASSERT_EQ(done, 4u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok);
+  for (const auto& r : results) EXPECT_TRUE(r.status.ok());
   // All four completed with one tag: the single surviving cluster write.
   EXPECT_EQ(results[0].tag, results[3].tag);
   EXPECT_EQ(svc.metrics().counter_total("puts"), 4u);
@@ -77,7 +77,7 @@ TEST(StoreService, DistinctKeysInOneBatchAllMaterialize) {
   for (std::size_t i = 0; i < 6; ++i) {
     svc.put("key-" + std::to_string(i), Bytes{static_cast<std::uint8_t>(i)},
             [&done](const PutResult& r) {
-              EXPECT_TRUE(r.ok);
+              EXPECT_TRUE(r.status.ok());
               ++done;
             });
   }
@@ -108,13 +108,14 @@ TEST(StoreService, BatchingUnderConcurrentWritersStaysLinearizable) {
     if (rng.bernoulli(0.4)) {
       svc.get(key, [&](const GetResult& r) {
         // A racing get may beat the key's first put: NotFound, not an error.
-        EXPECT_TRUE(r.ok || r.status.is(StatusCode::kNotFound)) << r.error;
+        EXPECT_TRUE(r.status.ok() || r.status.is(StatusCode::kNotFound))
+            << r.status.to_string();
         ++done;
         next();
       });
     } else {
       svc.put(key, rng.bytes(32), [&](const PutResult& r) {
-        EXPECT_TRUE(r.ok);
+        EXPECT_TRUE(r.status.ok());
         ++done;
         next();
       });
@@ -139,7 +140,7 @@ TEST(StoreService, AdmissionLimitRejectsExcessPuts) {
   for (std::size_t i = 0; i < 7; ++i) {
     svc.put("key-" + std::to_string(i), Bytes{1},
             [&](const PutResult& r) {
-              if (r.ok) {
+              if (r.status.ok()) {
                 ++accepted;
               } else {
                 ++rejected;
@@ -159,13 +160,13 @@ TEST(StoreService, MultiGetSpansShardsAndPreservesOrder) {
   std::vector<std::string> keys;
   for (std::size_t i = 0; i < 12; ++i) {
     keys.push_back("mg-" + std::to_string(i));
-    ASSERT_TRUE(
-        svc.put_sync(keys.back(), Bytes{static_cast<std::uint8_t>(i)}).ok);
+    ASSERT_TRUE(svc.put_sync(keys.back(), Bytes{static_cast<std::uint8_t>(i)})
+                    .status.ok());
   }
   const auto results = svc.multi_get_sync(keys);
   ASSERT_EQ(results.size(), keys.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].ok);
+    EXPECT_TRUE(results[i].status.ok());
     EXPECT_EQ(results[i].value, Bytes{static_cast<std::uint8_t>(i)});
   }
   // The keys actually spread over multiple shards.
@@ -192,7 +193,7 @@ TEST(StoreService, MixedBackendsPerShard) {
   for (std::size_t i = 0; i < 60; ++i) {
     const std::string key = "mix-" + std::to_string(i);
     model[key] = rng.bytes(24);
-    ASSERT_TRUE(svc.put_sync(key, model[key]).ok);
+    ASSERT_TRUE(svc.put_sync(key, model[key]).status.ok());
   }
   for (const auto& [key, value] : model) {
     EXPECT_EQ(svc.get_sync(key).value, value);
@@ -200,6 +201,52 @@ TEST(StoreService, MixedBackendsPerShard) {
   // Every protocol actually served traffic.
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_GT(svc.shard_objects(s), 0u) << "shard " << s;
+  }
+  svc.quiesce();
+  expect_all_histories_clean(svc);
+}
+
+TEST(StoreService, CrashInjectionExhaustsEachProtocolsBudget) {
+  auto opt = small_options(3);
+  opt.shard_overrides.resize(3);
+  opt.shard_overrides[0].protocol = ShardProtocol::Lds;
+  opt.shard_overrides[1].protocol = ShardProtocol::Abd;
+  opt.shard_overrides[2].protocol = ShardProtocol::Cas;
+  StoreService svc(opt);
+
+  Rng rng(11);
+  std::map<std::string, Bytes> model;
+  for (std::size_t i = 0; i < 30; ++i) {
+    const std::string key = "crash-" + std::to_string(i);
+    model[key] = rng.bytes(24);
+    ASSERT_TRUE(svc.put_sync(key, model[key]).status.ok());
+  }
+  // Default geometry: LDS f1 + f2 = 1 + 2, ABD and CAS f = 2.  Nothing runs
+  // between injections, so no L2 repair can return a slot mid-loop.
+  const std::size_t budget[] = {3, 2, 2};
+  Rng crash_rng(4);
+  for (std::size_t s = 0; s < 3; ++s) {
+    ASSERT_GT(svc.shard_objects(s), 0u) << "shard " << s;
+    std::size_t injected = 0;
+    while (svc.inject_crash(s, crash_rng)) ++injected;
+    EXPECT_EQ(injected, budget[s]) << "shard " << s;
+    EXPECT_FALSE(svc.inject_crash(s, crash_rng)) << "shard " << s;
+  }
+  const auto snap = svc.metrics().snapshot();
+  auto counter = [&](std::size_t s, const char* name) -> std::uint64_t {
+    const auto& m = snap.shards.at(s).counters;
+    const auto it = m.find(name);
+    return it == m.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(counter(0, "crashes_l1") + counter(0, "crashes_l2"), 3u);
+  EXPECT_EQ(counter(0, "crashes"), 0u);
+  EXPECT_EQ(counter(1, "crashes"), 2u);
+  EXPECT_EQ(counter(2, "crashes"), 2u);
+
+  for (const auto& [key, value] : model) {
+    const auto got = svc.get_sync(key);
+    ASSERT_TRUE(got.status.ok()) << key << ": " << got.status.to_string();
+    EXPECT_EQ(got.value, value) << key;
   }
   svc.quiesce();
   expect_all_histories_clean(svc);
@@ -214,7 +261,7 @@ TEST(StoreService, LdsCodeBackendIsSelectablePerShard) {
   for (std::size_t i = 0; i < 10; ++i) {
     const std::string key = "code-" + std::to_string(i);
     const Bytes v{static_cast<std::uint8_t>(i), 9, 9};
-    ASSERT_TRUE(svc.put_sync(key, v).ok);
+    ASSERT_TRUE(svc.put_sync(key, v).status.ok());
     EXPECT_EQ(svc.get_sync(key).value, v);
   }
 }

@@ -280,7 +280,7 @@ TEST(AsyncClient, CompletionQueuePipeliningCompletesEveryHandle) {
   while (cq.outstanding() > 0) {
     ASSERT_TRUE(cq.wait(&c, 30.0));
     ASSERT_EQ(c.kind, store::Completion::Kind::Get);
-    ASSERT_TRUE(c.get.ok) << c.get.status.to_string();
+    ASSERT_TRUE(c.get.status.ok()) << c.get.status.to_string();
     ASSERT_EQ(want.count(c.handle), 1u);
     EXPECT_EQ(c.get.value, Value::from_string(want[c.handle]));
   }
