@@ -2,8 +2,8 @@
 // storage::Checkpoint.
 //
 // The harness forks a real `lds_served --data-dir <dir>` daemon, drives it
-// over TCP from concurrent client threads, SIGKILLs it mid-churn, restarts
-// it on the SAME data_dir, and repeats.  Client threads record every
+// over TCP from concurrent store::Client threads, SIGKILLs it mid-churn,
+// restarts it on the SAME data_dir, and repeats.  Client threads record every
 // operation they observe — with wall-clock invocation/response times that
 // span all server incarnations — into one merged History.  After the final
 // (gracefully terminated) incarnation the merged history must pass BOTH
@@ -17,18 +17,14 @@
 // completed get's tag is never rolled back — because durable acks only fire
 // once the tag's offload is fdatasynced at an L2 quorum.
 //
-// Writes the server may or may not have applied (the connection died with
-// the reply in flight) are recorded as INCOMPLETE ops.  Every written value
-// is unique (thread, seq tattooed into the bytes), so a post-run
-// reconciliation pass can bind each such write to the tag the server
-// actually gave it iff some completed read returned its value — exactly the
-// History::set_payload contract ("a read may legitimately return the value
-// of a write that never completed").
+// Writes whose reply died with the connection are reconciled as described in
+// harness/process.h.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "harness/process.h"
 #include "storage/wal.h"
 
 namespace lds::harness {
@@ -57,19 +53,10 @@ struct Kill9Options {
   bool verbose = false;
 };
 
-struct Kill9Report {
+struct Kill9Report : ClientReport {
   std::size_t incarnations = 0;  ///< server processes actually started
   std::size_t kills = 0;         ///< SIGKILLs delivered
-  std::size_t writes_completed = 0;
-  std::size_t writes_unknown = 0;  ///< connection died with reply in flight
-  std::size_t writes_bound = 0;    ///< unknowns bound to a tag by a read
-  std::size_t writes_coalesced = 0;
-  std::size_t reads_completed = 0;
-  std::size_t reads_failed = 0;
-  bool atomicity_ok = false;
-  bool freshness_ok = false;
   bool server_verified = false;  ///< final incarnation exited 0 on SIGTERM
-  std::string violation;         ///< first checker violation or setup error
 
   bool ok() const { return atomicity_ok && freshness_ok && server_verified; }
 };

@@ -5,23 +5,17 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
-#include "harness/stress.h"
-#include "lds/history.h"
+#include "harness/process.h"
 #include "member/controller.h"
 #include "member/view.h"
 #include "storage/fsutil.h"
@@ -31,12 +25,6 @@ namespace lds::harness {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Per-op wall-clock deadline.  Must comfortably cover a view change's
 /// quiesce window (dispatch pauses for drain + activation, a few seconds
 /// worst-case) — an op invoked just before the pause completes after resume.
@@ -44,108 +32,6 @@ constexpr double kOpDeadline = 10.0;
 
 /// Moves block through propose + quiesce + activate + state-sync.
 constexpr double kMoveDeadline = 60.0;
-
-/// Shared recording state, identical in structure to the kill9 harness:
-/// ops are recorded AFTER they return, under one mutex, with the real
-/// invocation/response times — post-hoc recording preserves the real-time
-/// precedence relation the checkers consume.
-struct Recorder {
-  std::mutex mu;
-  core::History h;
-  /// Unknown-outcome writes awaiting a tag: value bytes -> history index.
-  std::map<Bytes, std::size_t> pending;
-  ReconfigReport* rep;
-
-  void read_done(OpId op, ObjectId obj, NodeId client, double t_inv,
-                 double t_rsp, Tag tag, Value value) {
-    std::lock_guard<std::mutex> lk(mu);
-    const std::size_t idx =
-        h.on_invoke(op, core::OpKind::Read, obj, client, t_inv);
-    h.on_response(idx, t_rsp, tag, std::move(value));
-    ++rep->reads_completed;
-  }
-  void write_done(OpId op, ObjectId obj, NodeId client, double t_inv,
-                  double t_rsp, Tag tag, Value value) {
-    std::lock_guard<std::mutex> lk(mu);
-    const std::size_t idx =
-        h.on_invoke(op, core::OpKind::Write, obj, client, t_inv);
-    h.on_response(idx, t_rsp, tag, std::move(value));
-    ++rep->writes_completed;
-  }
-  void write_unknown(OpId op, ObjectId obj, NodeId client, double t_inv,
-                     Value value) {
-    std::lock_guard<std::mutex> lk(mu);
-    const std::size_t idx =
-        h.on_invoke(op, core::OpKind::Write, obj, client, t_inv);
-    pending.emplace(value.bytes(), idx);
-    ++rep->writes_unknown;
-  }
-
-  /// Bind unknown-outcome writes observed by completed reads (see kill9.h
-  /// for the full rationale; values are unique so value -> write is
-  /// injective).
-  void reconcile() {
-    std::lock_guard<std::mutex> lk(mu);
-    const std::size_t n = h.ops().size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const core::OpRecord& op = h.ops()[i];
-      if (op.kind != core::OpKind::Read || !op.complete) continue;
-      auto it = pending.find(op.value.bytes());
-      if (it == pending.end()) continue;
-      h.set_payload(it->second, op.tag, op.value);
-      ++rep->writes_bound;
-      pending.erase(it);
-    }
-  }
-};
-
-Value make_value(std::uint32_t thread, std::uint32_t seq, std::size_t size,
-                 Rng& rng) {
-  Bytes b = rng.bytes(size < 8 ? 8 : size);
-  for (int i = 0; i < 4; ++i) {
-    b[i] = static_cast<std::uint8_t>(thread >> (8 * i));
-    b[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  return Value(std::move(b));
-}
-
-pid_t spawn(const std::vector<std::string>& args) {
-  std::vector<std::string> copy = args;
-  std::vector<char*> argv;
-  argv.reserve(copy.size() + 1);
-  for (auto& a : copy) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  // Flush before fork: the child's freopen would otherwise re-emit any
-  // buffered parent output into the shared stdout pipe.
-  std::fflush(nullptr);
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;  // parent (or fork failure, -1)
-  // Child: quiet stdout; stderr stays (verification failures must show).
-  std::freopen("/dev/null", "w", stdout);
-  ::execv(argv[0], argv.data());
-  std::fprintf(stderr, "reconfig: execv %s: %s\n", argv[0],
-               std::strerror(errno));
-  ::_exit(127);
-}
-
-/// Poll for an (atomically published) port file; nullopt if the child exits
-/// or the timeout lapses first.
-std::optional<std::uint16_t> wait_for_port(const std::string& port_file,
-                                           pid_t pid, double timeout_s,
-                                           int* status) {
-  const auto t0 = Clock::now();
-  while (seconds_since(t0) < timeout_s) {
-    if (::waitpid(pid, status, WNOHANG) == pid) return std::nullopt;
-    Bytes b;
-    if (storage::read_file_bytes(port_file, &b).ok() && !b.empty()) {
-      const unsigned long p =
-          std::strtoul(reinterpret_cast<const char*>(b.data()), nullptr, 10);
-      if (p > 0 && p <= 65535) return static_cast<std::uint16_t>(p);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return std::nullopt;
-}
 
 struct Child {
   pid_t pid = -1;
@@ -279,10 +165,10 @@ ReconfigReport run_reconfig(const ReconfigOptions& opt) {
   };
 
   Status open_st;
-  auto session = store::RemoteSession::open("127.0.0.1", *head_port, &open_st);
+  auto client = store::Client::connect("127.0.0.1", *head_port, &open_st);
   auto ctl_session =
-      session ? store::RemoteSession::open("127.0.0.1", *head_port, &open_st)
-              : nullptr;
+      client ? store::RemoteSession::open("127.0.0.1", *head_port, &open_st)
+             : nullptr;
   if (ctl_session == nullptr) {
     return cleanup_all("reconfig: connect: " + open_st.to_string());
   }
@@ -295,59 +181,20 @@ ReconfigReport run_reconfig(const ReconfigOptions& opt) {
   }
 
   // ---- concurrent client workload ------------------------------------------
-  Recorder rec;
-  rec.rep = &rep;
-  const auto t0 = Clock::now();
+  Recorder rec(&rep, opt.keys, opt.value_size, opt.read_fraction,
+               kOpDeadline);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> ops_done{0};
-  std::atomic<std::uint32_t> seq{0};
   std::vector<std::thread> workers;
   workers.reserve(opt.threads);
   for (std::size_t t = 0; t < opt.threads; ++t) {
     workers.emplace_back([&, t] {
       Rng rng(mix_seed(opt.seed, t + 1));
-      const NodeId client = static_cast<NodeId>(100 + t);
       while (!stop.load(std::memory_order_acquire)) {
-        const auto key_idx = static_cast<ObjectId>(
-            rng.uniform_int(0, static_cast<std::int64_t>(opt.keys) - 1));
-        const std::string key = "key-" + std::to_string(key_idx);
-        const std::uint32_t s = seq.fetch_add(1, std::memory_order_acq_rel);
-        const OpId op = make_op_id(client, s);
-        if (rng.bernoulli(opt.read_fraction)) {
-          const double t_inv = seconds_since(t0);
-          store::GetResult r =
-              session->get(key, store::ReadMode::Atomic, kOpDeadline);
-          const double t_rsp = seconds_since(t0);
-          if (r.status.ok()) {
-            rec.read_done(op, key_idx, client, t_inv, t_rsp, r.tag,
-                          std::move(r.value));
-          } else if (r.status.code() == StatusCode::kNotFound) {
-            rec.read_done(op, key_idx, client, t_inv, t_rsp, kTag0, Value());
-          } else {
-            std::lock_guard<std::mutex> lk(rec.mu);
-            ++rep.reads_failed;
-          }
-        } else {
-          Value v = make_value(static_cast<std::uint32_t>(t), s,
-                               opt.value_size, rng);
-          const double t_inv = seconds_since(t0);
-          store::PutResult r = session->put(key, v, kOpDeadline);
-          const double t_rsp = seconds_since(t0);
-          if (r.status.ok() && r.coalesced) {
-            std::lock_guard<std::mutex> lk(rec.mu);
-            ++rep.writes_coalesced;
-          } else if (r.status.ok()) {
-            rec.write_done(op, key_idx, client, t_inv, t_rsp, r.tag,
-                           std::move(v));
-          } else if (r.status.code() == StatusCode::kAdmissionReject ||
-                     r.status.code() == StatusCode::kInvalidArgument) {
-            // Rejected before reaching a writer: definitely not applied.
-          } else {
-            rec.write_unknown(op, key_idx, client, t_inv, std::move(v));
-          }
-        }
+        const bool reachable =
+            rec.step(*client, static_cast<std::uint32_t>(t), rng);
         ops_done.fetch_add(1, std::memory_order_acq_rel);
-        if (!session->connected()) break;
+        if (!reachable) break;
       }
     });
   }
@@ -447,7 +294,7 @@ ReconfigReport run_reconfig(const ReconfigOptions& opt) {
 
   // ---- shutdown + verdict --------------------------------------------------
   stop_workers();
-  session.reset();
+  client.reset();
   ctl_session.reset();
 
   rep.peers_clean = true;
@@ -469,16 +316,8 @@ ReconfigReport run_reconfig(const ReconfigOptions& opt) {
     rep.view_recovered = rep.persisted_epoch >= rep.final_epoch;
   }
 
-  rec.reconcile();
-  const auto a = rec.h.check_atomicity(Bytes{});
-  rep.atomicity_ok = a.ok;
-  const auto f = verify_read_freshness(rec.h);
-  rep.freshness_ok = f.ok;
-  if (!a.ok) {
-    rep.violation = "atomicity: " + a.violation;
-  } else if (!f.ok) {
-    rep.violation = "freshness: " + f.violation;
-  } else if (!rep.server_verified) {
+  if (!rec.verdict()) return rep;  // the checkers' violation stands
+  if (!rep.server_verified) {
     rep.violation = "reconfig: head exit status " + std::to_string(status) +
                     " (server-side verification failed)";
   } else if (!rep.peers_clean) {

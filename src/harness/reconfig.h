@@ -3,8 +3,8 @@
 //
 // The harness forks a real 3-process cluster — one `lds_served` head
 // (StoreService + membership coordinator) and two member peers whose
-// --node-ids claims pull L2 servers out of the head — then drives client
-// load over TCP while churning the membership:
+// --node-ids claims pull L2 servers out of the head — then drives
+// store::Client load over TCP while churning the membership:
 //
 //   * join/leave/replace rounds: an L2 server is moved between the head and
 //     a peer (member::Controller -> RemoteReconfig), each move activating a
@@ -24,6 +24,8 @@
 
 #include <cstdint>
 #include <string>
+
+#include "harness/process.h"
 
 namespace lds::harness {
 
@@ -47,24 +49,15 @@ struct ReconfigOptions {
   bool verbose = false;
 };
 
-struct ReconfigReport {
+struct ReconfigReport : ClientReport {
   std::size_t peers_started = 0;  ///< peer processes spawned (incl. restart)
   std::size_t moves_applied = 0;  ///< controller moves that returned Ok
   std::size_t kills = 0;          ///< SIGKILLs delivered mid-reconfig
   std::uint64_t final_epoch = 0;      ///< highest epoch the controller saw
   std::uint64_t persisted_epoch = 0;  ///< epoch recovered from VIEW on disk
-  std::size_t writes_completed = 0;
-  std::size_t writes_unknown = 0;
-  std::size_t writes_bound = 0;
-  std::size_t writes_coalesced = 0;
-  std::size_t reads_completed = 0;
-  std::size_t reads_failed = 0;
-  bool atomicity_ok = false;
-  bool freshness_ok = false;
   bool server_verified = false;  ///< head exited 0 on SIGTERM
   bool peers_clean = false;      ///< surviving peers exited 0 on SIGTERM
   bool view_recovered = false;   ///< persisted_epoch >= final_epoch
-  std::string violation;
 
   bool ok() const {
     return atomicity_ok && freshness_ok && server_verified && peers_clean &&

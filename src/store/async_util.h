@@ -1,13 +1,15 @@
 // Internal async plumbing shared by StoreService and store::Client:
 //
-//   * run_op_sync — the one sync-wait cell behind every *_sync wrapper.
-//     Deterministic mode spins the lane-0 simulator (timers and callbacks
-//     fire as events); Parallel mode blocks the calling thread until a lane
-//     completes the op.  notify happens under the lock so the waiter cannot
-//     destroy the cell while the signaling lane still touches it.
-//   * Gather — the scatter-gather block behind every multi-key op.
-//     Sub-ops settle on their own lanes; the atomic counter makes the last
-//     completion (wherever it runs) fire the callback exactly once.
+//   * run_op_sync — the one sync-wait cell behind every *_sync wrapper and
+//     the remote client's callback API.  A deterministic engine spins its
+//     lane-0 simulator (timers and callbacks fire as events); a Parallel
+//     engine, or no engine at all (remote mode), blocks the calling thread
+//     until another thread completes the op.  notify happens under the lock
+//     so the waiter cannot destroy the cell while the signaling thread still
+//     touches it.
+//   * scatter_gather — the one gather behind every multi-key op.  Sub-ops
+//     settle wherever they complete; the atomic counter makes the last
+//     completion fire the callback exactly once.
 //
 // Not part of the public API; include from store/*.cpp only.
 #pragma once
@@ -25,8 +27,7 @@
 namespace lds::store::detail {
 
 template <typename R, typename Invoke>
-R run_op_sync(net::Engine& engine, bool parallel, const char* what,
-              Invoke&& invoke) {
+R run_op_sync(net::Engine* engine, const char* what, Invoke&& invoke) {
   R out{};
   std::mutex mu;
   std::condition_variable cv;
@@ -37,8 +38,8 @@ R run_op_sync(net::Engine& engine, bool parallel, const char* what,
     done = true;
     cv.notify_one();
   });
-  if (!parallel) {
-    net::Simulator& sim = engine.lane_sim(0);
+  if (engine != nullptr && engine->deterministic()) {
+    net::Simulator& sim = engine->lane_sim(0);
     while (!done && sim.step()) {
     }
     LDS_REQUIRE(done, what);
@@ -51,28 +52,31 @@ R run_op_sync(net::Engine& engine, bool parallel, const char* what,
 
 template <typename ResultT, typename CallbackT>
 struct Gather {
+  Gather(std::size_t n, CallbackT c)
+      : results(n), remaining(n), cb(std::move(c)) {}
+
   std::vector<ResultT> results;
-  std::atomic<std::size_t> remaining{0};
+  std::atomic<std::size_t> remaining;
   CallbackT cb;
 };
 
-template <typename ResultT, typename CallbackT>
-std::shared_ptr<Gather<ResultT, CallbackT>> make_gather(std::size_t n,
-                                                        CallbackT cb) {
-  auto g = std::make_shared<Gather<ResultT, CallbackT>>();
-  g->results.resize(n);
-  g->remaining.store(n, std::memory_order_release);
-  g->cb = std::move(cb);
-  return g;
-}
-
-/// Record sub-op i's result; the last one fires the gathered callback.
-template <typename GatherT, typename ResultT>
-void gather_finish(const std::shared_ptr<GatherT>& g, std::size_t i,
-                   const ResultT& r) {
-  g->results[i] = r;
-  if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    g->cb(std::move(g->results));
+/// Start `n` sub-ops through `submit(i, done_i)` and fire `cb` once with
+/// their results in index order.  n == 0 fires `cb` at once: a gather that
+/// never sees a completion would leave its caller hung.
+template <typename ResultT, typename CallbackT, typename Submit>
+void scatter_gather(std::size_t n, CallbackT cb, Submit&& submit) {
+  if (n == 0) {
+    cb(std::vector<ResultT>{});
+    return;
+  }
+  auto g = std::make_shared<Gather<ResultT, CallbackT>>(n, std::move(cb));
+  for (std::size_t i = 0; i < n; ++i) {
+    submit(i, [g, i](const ResultT& r) {
+      g->results[i] = r;
+      if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        g->cb(std::move(g->results));
+      }
+    });
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/assert.h"
 #include "common/format.h"
@@ -15,6 +14,26 @@ namespace {
 
 std::string deadline_msg(double deadline) {
   return "deadline " + fmt_double(deadline) + " expired";
+}
+
+/// The sync wait's engine: the deterministic engine spins its simulator;
+/// null (remote mode) blocks on the cell, as Parallel lanes do.
+net::Engine* engine_of(StoreService* svc) {
+  return svc != nullptr ? &svc->engine() : nullptr;
+}
+
+/// The callback contract of put/get/put_if_version/multi_*: local mode
+/// hands `cb` to the core, so it fires where the op completes; remote mode
+/// runs the core to completion on one cell and fires `cb` on the calling
+/// thread before returning.
+template <typename R, typename Cb, typename Core>
+void with_callback(bool remote, Cb cb, Core&& core) {
+  if (!remote) {
+    core(std::move(cb));
+    return;
+  }
+  R r = detail::run_op_sync<R>(nullptr, "remote op", core);
+  if (cb) cb(std::move(r));
 }
 
 }  // namespace
@@ -72,131 +91,84 @@ RemoteSession& Client::pick() {
                    remotes_.size()];
 }
 
-PutResult Client::remote_put_op(
-    OpOptions opts, const std::function<PutResult(double)>& attempt) {
-  // The engine-time deadline/retry driver, transliterated to wall-clock
-  // seconds: one budget across all attempts, backoff slept between them.
-  const auto start = std::chrono::steady_clock::now();
-  const auto remaining = [&]() -> double {
-    const double used =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return opts.deadline - used;
-  };
-  double backoff = opts.retry.backoff;
-  for (std::size_t n = 1;; ++n) {
-    double budget = 0;  // 0 = unbounded
-    if (opts.deadline > 0) {
-      budget = remaining();
-      if (budget <= 0) {
-        return PutResult::failure(
-            Status::DeadlineExceeded(deadline_msg(opts.deadline)));
-      }
-    }
-    PutResult r = attempt(budget);
-    if (r.status.ok() || !opts.retry.retriable(r.status) ||
-        n >= opts.retry.max_attempts) {
-      return r;
-    }
-    // Never sleep past the deadline: the engine-time driver's timer fires
-    // exactly at expiry, so the wall-clock driver caps the backoff at the
-    // remaining budget (the loop top then reports DeadlineExceeded on
-    // time, not a backoff late).
-    double sleep_s = backoff;
-    if (opts.deadline > 0) {
-      const double rem = remaining();
-      if (rem <= 0) {
-        return PutResult::failure(
-            Status::DeadlineExceeded(deadline_msg(opts.deadline)));
-      }
-      sleep_s = std::min(backoff, rem);
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    backoff *= opts.retry.backoff_multiplier;
-  }
-}
+// ---- the op core ------------------------------------------------------------
 
-/// One logical put (plain or conditional).  Everything that touches the op
-/// after submission — deadline timer, retries, completion — runs on the
-/// key's shard lane, so `settled` is the only cross-lane rendezvous (the
-/// caller of a sync wrapper reads the result after its own synchronization).
-struct Client::PutOp {
+/// One logical operation, local or remote.  It settles exactly once — with
+/// its result, its deadline or a cancellation, whichever comes first — and
+/// only that first settle reaches `cb`.  Local ops run every step after the
+/// lane hop on the key's shard lane; a remote op's steps run on the caller,
+/// the transport's progress and timer threads, or a closing thread, which
+/// is why `settled` is atomic.
+template <typename R>
+struct Client::Op {
+  Op(std::function<void(const R&)> done, OpOptions o)
+      : cb(std::move(done)), opts(o), backoff(o.retry.backoff) {}
+
   std::atomic<bool> settled{false};
-  PutCallback cb;
-
-  /// First settle wins: returns true when this caller should complete.
-  bool settle() { return !settled.exchange(true, std::memory_order_acq_rel); }
-};
-
-struct Client::GetOp {
-  std::atomic<bool> settled{false};
-  GetCallback cb;
-
-  bool settle() { return !settled.exchange(true, std::memory_order_acq_rel); }
-};
-
-// ---- async remote attempt chain ---------------------------------------------
-
-/// One async remote operation across its retries.  The request body is kept
-/// for re-sending (Value copies are refcounted handles, not payload copies);
-/// `done` fires exactly once with the final outcome.  Retries are scheduled
-/// on the session's timer thread, so no caller thread ever sleeps.
-struct Client::AsyncOp {
-  RemoteSession* sess = nullptr;
-  RemoteBody req;
+  std::function<void(const R&)> cb;
   OpOptions opts;
-  std::size_t attempt = 1;
-  double backoff = 0;
-  std::chrono::steady_clock::time_point start;
-  std::function<void(Status, RemoteReply)> done;
+  /// Puts: what every attempt sends (RemotePut or RemotePutIf) — over the
+  /// wire in remote mode, to the service in local mode.  The value is a
+  /// shared handle, so a retry re-sends a refcount, not a payload copy.
+  RemoteBody req;
+  std::size_t attempt = 1;  ///< puts: attempts sent so far
+  double backoff;           ///< puts: delay before the next retry
+  RemoteSession* sess = nullptr;                ///< remote: the op's connection
+  std::chrono::steady_clock::time_point start;  ///< remote: budget origin
 
-  double remaining() const {
-    const double used = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-    return opts.deadline - used;
+  bool done() const { return settled.load(std::memory_order_acquire); }
+  void finish(const R& r) {
+    if (settled.exchange(true, std::memory_order_acq_rel)) return;
+    if (cb) cb(r);
+  }
+  /// The prechecks every op runs once, on the caller's thread.
+  bool admitted(bool client_closed, const std::string& key) {
+    if (client_closed) {
+      finish(R::failure(Status::Unavailable("client closed")));
+    } else if (key.empty()) {
+      finish(R::failure(Status::InvalidArgument("empty key")));
+    }
+    return !done();
+  }
+  /// Remote: the seconds left of the op's wall-clock budget in `*left`
+  /// (0 = unbounded).  Settles the op with DeadlineExceeded and returns
+  /// false once the budget is spent.
+  bool budget(double* left) {
+    *left = 0;
+    if (opts.deadline <= 0) return true;
+    *left = opts.deadline - std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    if (*left > 0) return true;
+    expire();
+    return false;
+  }
+  void expire() {
+    finish(R::failure(Status::DeadlineExceeded(deadline_msg(opts.deadline))));
   }
 };
 
-void Client::remote_attempt(std::shared_ptr<AsyncOp> op) {
-  double budget = 0;  // 0 = unbounded
-  if (op->opts.deadline > 0) {
-    budget = op->remaining();
-    if (budget <= 0) {
-      op->done(Status::DeadlineExceeded(deadline_msg(op->opts.deadline)),
-               RemoteReply{});
-      return;
-    }
+template <typename R, typename Body>
+void Client::begin(const std::string& key, std::shared_ptr<Op<R>> op,
+                   Body body) {
+  if (remote()) {
+    // Every round and retry rides one connection and gets only what is
+    // left of one wall-clock budget.
+    op->sess = &pick();
+    op->start = std::chrono::steady_clock::now();
+    body();
+    return;
   }
-  op->sess->async_call(
-      RemoteBody(op->req), budget, [this, op](Status st, RemoteReply r) {
-        const bool retriable =
-            st.ok() &&
-            op->opts.retry.retriable(Status::FromCode(r.code, r.message)) &&
-            op->attempt < op->opts.retry.max_attempts;
-        if (!retriable) {
-          op->done(std::move(st), std::move(r));
-          return;
-        }
-        ++op->attempt;
-        double delay = op->backoff;
-        op->backoff *= op->opts.retry.backoff_multiplier;
-        if (op->opts.deadline > 0) {
-          const double rem = op->remaining();
-          if (rem <= 0) {
-            op->done(
-                Status::DeadlineExceeded(deadline_msg(op->opts.deadline)),
-                RemoteReply{});
-            return;
-          }
-          // Never sleep past the deadline; the attempt after the capped
-          // backoff reports DeadlineExceeded on time.
-          delay = std::min(delay, rem);
-        }
-        if (!op->sess->after(delay, [this, op] { remote_attempt(op); })) {
-          op->done(Status::Unavailable("session closed"), RemoteReply{});
-        }
-      });
+  // Hop to the shard's lane first: the deadline timer must be armed with
+  // after_here on the lane whose clock the operation runs against.  It is
+  // the op's only timer — it covers every round and retry.
+  svc_->engine().post(lane_of_key(key), [this, op = std::move(op),
+                                         body = std::move(body)]() mutable {
+    if (op->opts.deadline > 0) {
+      svc_->engine().after_here(op->opts.deadline, [op] { op->expire(); });
+    }
+    body();
+  });
 }
 
 // ---- async submission cores --------------------------------------------------
@@ -204,80 +176,33 @@ void Client::remote_attempt(std::shared_ptr<AsyncOp> op) {
 void Client::submit_put(const std::string& key, Value value, PutCallback cb,
                         OpOptions opts) {
   if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (closed()) {
-    cb(PutResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    cb(PutResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    auto op = std::make_shared<AsyncOp>();
-    op->sess = &pick();
-    op->req = RemotePut{key, std::move(value)};
-    op->opts = opts;
-    op->backoff = opts.retry.backoff;
-    op->start = std::chrono::steady_clock::now();
-    op->done = [cb = std::move(cb)](Status st, RemoteReply r) {
-      cb(st.ok() ? to_put_result(r) : PutResult::failure(std::move(st)));
-    };
-    remote_attempt(std::move(op));
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this](const std::string& k, Value v,
-                    StoreService::PutCallback pcb) {
-               svc_->put(k, std::move(v), std::move(pcb));
-             });
+  auto op = std::make_shared<Op<PutResult>>(std::move(cb), opts);
+  if (!op->admitted(closed(), key)) return;
+  op->req = RemotePut{key, std::move(value)};
+  begin(key, op, [this, op] { attempt_put(op); });
 }
 
 void Client::submit_put_if(const std::string& key, Value value,
                            Version expected, PutCallback cb, OpOptions opts) {
   if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (closed()) {
-    cb(PutResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    cb(PutResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    auto op = std::make_shared<AsyncOp>();
-    op->sess = &pick();
-    op->req = RemotePutIf{key, std::move(value), expected};
-    op->opts = opts;
-    op->backoff = opts.retry.backoff;
-    op->start = std::chrono::steady_clock::now();
-    op->done = [cb = std::move(cb)](Status st, RemoteReply r) {
-      cb(st.ok() ? to_put_result(r) : PutResult::failure(std::move(st)));
-    };
-    remote_attempt(std::move(op));
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this, expected](const std::string& k, Value v,
-                              StoreService::PutCallback pcb) {
-               svc_->put_if(k, std::move(v), expected, std::move(pcb));
-             });
+  auto op = std::make_shared<Op<PutResult>>(std::move(cb), opts);
+  if (!op->admitted(closed(), key)) return;
+  op->req = RemotePutIf{key, std::move(value), expected};
+  begin(key, op, [this, op] { attempt_put(op); });
 }
 
 void Client::submit_get(const std::string& key, GetCallback cb,
                         OpOptions opts) {
-  if (closed()) {
-    cb(GetResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    cb(GetResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
+  auto op = std::make_shared<Op<GetResult>>(std::move(cb), opts);
+  if (!op->admitted(closed(), key)) return;
   if (cache_applies(opts.read_mode)) {
-    cached_get(key, std::move(cb), opts);
+    cached_get(key, std::move(op));
     return;
   }
-  raw_get(key, std::move(cb), opts);
+  begin(key, op, [this, key, op] {
+    read_round(key, op, op->opts.read_mode,
+               [op](const GetResult& r) { op->finish(r); });
+  });
 }
 
 // ---- completion-queue API ----------------------------------------------------
@@ -361,200 +286,97 @@ std::uint64_t Client::async_put_if(const std::string& key, Value value,
 
 void Client::put(const std::string& key, Value value, PutCallback cb,
                  OpOptions opts) {
-  if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (remote()) {
-    PutResult r;
-    if (closed()) {
-      r = PutResult::failure(Status::Unavailable("client closed"));
-    } else if (key.empty()) {
-      r = PutResult::failure(Status::InvalidArgument("empty key"));
-    } else {
-      r = remote_put_op(opts, [&](double deadline_s) {
-        return pick().put(key, value, deadline_s);
-      });
-    }
-    if (cb) cb(r);
-    return;
-  }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this](const std::string& k, Value v,
-                    StoreService::PutCallback pcb) {
-               svc_->put(k, std::move(v), std::move(pcb));
-             });
+  with_callback<PutResult>(remote(), std::move(cb), [&](auto done) {
+    submit_put(key, std::move(value), std::move(done), opts);
+  });
 }
 
 void Client::put_if_version(const std::string& key, Value value,
                             Version expected, PutCallback cb, OpOptions opts) {
-  if (cache_ != nullptr) cb = wrap_put_cb(key, value, std::move(cb));
-  if (remote()) {
-    PutResult r;
-    if (closed()) {
-      r = PutResult::failure(Status::Unavailable("client closed"));
-    } else if (key.empty()) {
-      r = PutResult::failure(Status::InvalidArgument("empty key"));
+  with_callback<PutResult>(remote(), std::move(cb), [&](auto done) {
+    submit_put_if(key, std::move(value), expected, std::move(done), opts);
+  });
+}
+
+void Client::attempt_put(const std::shared_ptr<Op<PutResult>>& op) {
+  auto done = [this, op](const PutResult& r) { settle_attempt(op, r); };
+  if (!remote()) {
+    if (const auto* c = std::get_if<RemotePutIf>(&op->req)) {
+      svc_->put_if(c->key, c->value, c->expected, std::move(done));
     } else {
-      r = remote_put_op(opts, [&](double deadline_s) {
-        return pick().put_if(key, value, expected, deadline_s);
-      });
+      const auto& p = std::get<RemotePut>(op->req);
+      svc_->put(p.key, p.value, std::move(done));
     }
-    if (cb) cb(r);
     return;
   }
-  run_put_op(key, std::move(value), opts, std::move(cb),
-             [this, expected](const std::string& k, Value v,
-                              StoreService::PutCallback pcb) {
-               svc_->put_if(k, std::move(v), expected, std::move(pcb));
-             });
+  double budget = 0;
+  if (!op->budget(&budget)) return;
+  op->sess->async_call(RemoteBody(op->req), budget,
+                       [done = std::move(done)](Status st, RemoteReply r) {
+                         done(st.ok() ? to_put_result(r)
+                                      : PutResult::failure(std::move(st)));
+                       });
 }
 
-void Client::run_put_op(const std::string& key, Value value, OpOptions opts,
-                        PutCallback cb, PutSubmit submit) {
-  if (closed()) {
-    if (cb) cb(PutResult::failure(Status::Unavailable("client closed")));
+void Client::settle_attempt(const std::shared_ptr<Op<PutResult>>& op,
+                            const PutResult& r) {
+  if (op->done()) return;  // the deadline won; drop the late result
+  const RetryPolicy& retry = op->opts.retry;
+  if (r.status.ok() || !retry.retriable(r.status) ||
+      op->attempt >= retry.max_attempts) {
+    op->finish(r);
     return;
   }
-  if (key.empty()) {
-    if (cb) cb(PutResult::failure(Status::InvalidArgument("empty key")));
+  ++op->attempt;
+  double delay = op->backoff;
+  op->backoff *= retry.backoff_multiplier;
+  auto again = [this, op] {
+    if (!op->done()) attempt_put(op);
+  };
+  if (!remote()) {
+    svc_->engine().after_here(delay, std::move(again));
     return;
   }
-  auto op = std::make_shared<PutOp>();
-  op->cb = std::move(cb);
-  const std::size_t lane = lane_of_key(key);
-  // Hop to the shard's lane first: the deadline timer must be armed with
-  // after_here on the lane whose clock the operation runs against.
-  svc_->engine().post(lane, [this, key, value = std::move(value), opts, op,
-                             submit = std::make_shared<PutSubmit>(
-                                 std::move(submit))]() mutable {
-    if (opts.deadline > 0) {
-      svc_->engine().after_here(opts.deadline, [op, opts] {
-        if (!op->settle()) return;
-        if (op->cb) {
-          op->cb(PutResult::failure(
-              Status::DeadlineExceeded(deadline_msg(opts.deadline))));
-        }
-      });
-    }
-    attempt_put_op(key, std::move(value), opts, std::move(op), 1,
-                   opts.retry.backoff, std::move(submit));
-  });
-}
-
-void Client::attempt_put_op(const std::string& key, Value value,
-                            OpOptions opts, std::shared_ptr<PutOp> op,
-                            std::size_t attempt, double backoff,
-                            std::shared_ptr<PutSubmit> submit) {
-  // The value is a shared handle, so keeping a copy for a potential retry
-  // costs a refcount, not a payload copy.
-  (*submit)(key, value, [this, key, value, opts, op, attempt, backoff,
-                         submit](const PutResult& r) mutable {
-    if (op->settled.load(std::memory_order_acquire)) return;  // deadline won
-    if (!r.status.ok() && opts.retry.retriable(r.status) &&
-        attempt < opts.retry.max_attempts) {
-      svc_->engine().after_here(backoff, [this, key, value = std::move(value),
-                                          opts, op = std::move(op), attempt,
-                                          backoff,
-                                          submit = std::move(submit)]() mutable {
-        if (op->settled.load(std::memory_order_acquire)) return;
-        attempt_put_op(key, std::move(value), opts, std::move(op), attempt + 1,
-                       backoff * opts.retry.backoff_multiplier,
-                       std::move(submit));
-      });
-      return;
-    }
-    if (!op->settle()) return;
-    if (op->cb) op->cb(r);
-  });
+  // Never sleep past the deadline: the attempt after a capped backoff
+  // reports DeadlineExceeded on time, not a backoff late.
+  double left = 0;
+  if (!op->budget(&left)) return;
+  if (left > 0) delay = std::min(delay, left);
+  if (!op->sess->after(delay, std::move(again))) {
+    op->finish(PutResult::failure(Status::Unavailable("session closed")));
+  }
 }
 
 // ---- gets -------------------------------------------------------------------
 
 void Client::get(const std::string& key, GetCallback cb, OpOptions opts) {
-  if (closed()) {
-    if (cb) cb(GetResult::failure(Status::Unavailable("client closed")));
-    return;
-  }
-  if (key.empty()) {
-    if (cb) cb(GetResult::failure(Status::InvalidArgument("empty key")));
-    return;
-  }
-  if (remote()) {
-    if (cache_applies(opts.read_mode)) {
-      // Preserve the documented blocking contract around the async cache
-      // path (TTL hits complete inline; validation/fill rounds complete on
-      // transport threads).
-      GetResult out;
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      cached_get(
-          key,
-          [&](const GetResult& r) {
-            {
-              std::lock_guard<std::mutex> lk(mu);
-              out = r;
-              done = true;
-            }
-            cv.notify_one();
-          },
-          opts);
-      std::unique_lock<std::mutex> lk(mu);
-      cv.wait(lk, [&] { return done; });
-      lk.unlock();
-      if (cb) cb(out);
-      return;
-    }
-    // Gets have no retriable failure; one blocking RPC under the deadline.
-    const GetResult r = pick().get(key, opts.read_mode, opts.deadline);
-    if (cb) cb(r);
-    return;
-  }
-  if (cache_applies(opts.read_mode)) {
-    cached_get(key, std::move(cb), opts);
-    return;
-  }
-  local_get(key, std::move(cb), opts);
-}
-
-void Client::local_get(const std::string& key, GetCallback cb,
-                       OpOptions opts) {
-  auto op = std::make_shared<GetOp>();
-  op->cb = std::move(cb);
-  const std::size_t lane = lane_of_key(key);
-  svc_->engine().post(lane, [this, key, opts, op]() mutable {
-    if (opts.deadline > 0) {
-      svc_->engine().after_here(opts.deadline, [op, opts] {
-        if (!op->settle()) return;
-        if (op->cb) {
-          op->cb(GetResult::failure(
-              Status::DeadlineExceeded(deadline_msg(opts.deadline))));
-        }
-      });
-    }
-    svc_->get(
-        key,
-        [op](const GetResult& r) {
-          if (!op->settle()) return;  // deadline won; drop the late result
-          if (op->cb) op->cb(r);
-        },
-        opts.read_mode);
+  with_callback<GetResult>(remote(), std::move(cb), [&](auto done) {
+    submit_get(key, std::move(done), opts);
   });
 }
 
-// ---- read cache -------------------------------------------------------------
-
-void Client::raw_get(const std::string& key, GetCallback cb, OpOptions opts) {
-  if (remote()) {
-    // Gets have no retriable failure: one pipelined RPC under the deadline.
-    pick().async_call(RemoteGet{key, opts.read_mode}, opts.deadline,
-                      [cb = std::move(cb)](Status st, RemoteReply r) {
-                        if (!cb) return;
-                        cb(st.ok() ? to_get_result(r)
-                                   : GetResult::failure(std::move(st)));
-                      });
+void Client::read_round(const std::string& key,
+                        const std::shared_ptr<Op<GetResult>>& op,
+                        ReadMode mode, GetCallback then) {
+  if (!remote()) {
+    svc_->get(
+        key,
+        [op, then = std::move(then)](const GetResult& r) {
+          if (!op->done()) then(r);  // the deadline won; drop the late result
+        },
+        mode);
     return;
   }
-  local_get(key, std::move(cb), opts);
+  double budget = 0;
+  if (!op->budget(&budget)) return;
+  op->sess->async_call(RemoteGet{key, mode}, budget,
+                       [then = std::move(then)](Status st, RemoteReply r) {
+                         then(st.ok() ? to_get_result(r)
+                                      : GetResult::failure(std::move(st)));
+                       });
 }
+
+// ---- read cache -------------------------------------------------------------
 
 double Client::cache_now() const {
   if (svc_ != nullptr && !svc_->parallel()) return svc_->sim().now();
@@ -563,12 +385,12 @@ double Client::cache_now() const {
       .count();
 }
 
-void Client::cached_get(const std::string& key, GetCallback cb,
-                        OpOptions opts) {
+void Client::cached_get(const std::string& key,
+                        std::shared_ptr<Op<GetResult>> op) {
   auto entry = cache_->lookup(key);
   if (!entry.has_value()) {
     client_metrics_.counter("cache_misses").inc();
-    fill_get(key, std::move(cb), opts);
+    begin(key, op, [this, key, op] { fill_round(key, op); });
     return;
   }
   if (cache_->options().ttl > 0 && cache_now() < entry->fresh_until) {
@@ -576,64 +398,62 @@ void Client::cached_get(const std::string& key, GetCallback cb,
     client_metrics_.counter("cache_hits").inc();
     client_metrics_.counter("cache_ttl_hits").inc();
     client_metrics_.counter("wire_value_bytes_saved").inc(entry->value.size());
-    if (cb) cb(GetResult::success(entry->version.tag(),
-                                  std::move(entry->value)));
+    op->finish(
+        GetResult::success(entry->version.tag(), std::move(entry->value)));
     return;
   }
-  // Validation round: a tag-only read through the normal get path.  The
+  // Validation round: a tag-only read under the op's deadline.  The
   // returned committed tag is >= any operation that completed before the
   // round started, so tag == cached version certifies currency.
   client_metrics_.counter("cache_validation_rounds").inc();
-  OpOptions vopts = opts;
-  vopts.read_mode = ReadMode::TagOnly;
-  raw_get(
-      key,
-      [this, key, opts, cb = std::move(cb),
-       cached = std::move(*entry)](const GetResult& r) mutable {
-        if (r.status.ok()) {
-          if (r.version == cached.version) {
-            client_metrics_.counter("cache_hits").inc();
-            client_metrics_.counter("wire_value_bytes_saved")
-                .inc(cached.value.size());
-            cache_->revalidate(key, cached.version, cache_now());
-            if (cb) {
-              cb(GetResult::success(cached.version.tag(),
-                                    std::move(cached.value)));
+  begin(key, op, [this, key, op, cached = std::move(*entry)]() mutable {
+    read_round(
+        key, op, ReadMode::TagOnly,
+        [this, key, op, cached = std::move(cached)](const GetResult& r) {
+          if (r.status.ok()) {
+            if (r.version == cached.version) {
+              client_metrics_.counter("cache_hits").inc();
+              client_metrics_.counter("wire_value_bytes_saved")
+                  .inc(cached.value.size());
+              cache_->revalidate(key, cached.version, cache_now());
+              op->finish(GetResult::success(cached.version.tag(),
+                                            cached.value));
+              return;
             }
+            // Stale entry: a full get refreshes it, on what is left of
+            // the op's budget.
+            client_metrics_.counter("cache_misses").inc();
+            client_metrics_.counter("cache_stale_validations").inc();
+            fill_round(key, op);
             return;
           }
-          // Stale entry: fall through to a full get, which refreshes it.
-          client_metrics_.counter("cache_misses").inc();
-          client_metrics_.counter("cache_stale_validations").inc();
-          fill_get(key, std::move(cb), opts);
-          return;
-        }
-        if (r.status.is(StatusCode::kInvalidArgument)) {
-          // The shard cannot serve tag-only rounds (non-LDS protocol):
-          // stop consulting the cache for good and serve the plain read.
-          if (cache_usable_.exchange(false, std::memory_order_acq_rel)) {
-            client_metrics_.counter("cache_disabled").inc();
+          if (r.status.is(StatusCode::kInvalidArgument)) {
+            // The shard cannot serve tag-only rounds (non-LDS protocol):
+            // stop consulting the cache for good and serve the plain read.
+            if (cache_usable_.exchange(false, std::memory_order_acq_rel)) {
+              client_metrics_.counter("cache_disabled").inc();
+            }
+            read_round(key, op, op->opts.read_mode,
+                       [op](const GetResult& g) { op->finish(g); });
+            return;
           }
-          raw_get(key, std::move(cb), opts);
-          return;
-        }
-        if (r.status.is(StatusCode::kNotFound) && cache_->invalidate(key)) {
-          client_metrics_.counter("cache_invalidations").inc();
-        }
-        if (cb) cb(r);  // NotFound / DeadlineExceeded / ... propagate
-      },
-      vopts);
+          if (r.status.is(StatusCode::kNotFound) && cache_->invalidate(key)) {
+            client_metrics_.counter("cache_invalidations").inc();
+          }
+          op->finish(r);  // NotFound / DeadlineExceeded / ... propagate
+        });
+  });
 }
 
-void Client::fill_get(const std::string& key, GetCallback cb, OpOptions opts) {
-  raw_get(key,
-          [this, key, cb = std::move(cb)](const GetResult& r) {
-            if (r.status.ok()) {
-              cache_->update(key, r.version, r.value, cache_now());
-            }
-            if (cb) cb(r);
-          },
-          opts);
+void Client::fill_round(const std::string& key,
+                        const std::shared_ptr<Op<GetResult>>& op) {
+  read_round(key, op, op->opts.read_mode,
+             [this, key, op](const GetResult& r) {
+               if (r.status.ok()) {
+                 cache_->update(key, r.version, r.value, cache_now());
+               }
+               op->finish(r);
+             });
 }
 
 Client::PutCallback Client::wrap_put_cb(const std::string& key,
@@ -665,83 +485,28 @@ Client::PutCallback Client::wrap_put_cb(const std::string& key,
 void Client::multi_get(std::vector<std::string> keys, MultiGetCallback cb,
                        OpOptions opts) {
   LDS_REQUIRE(cb != nullptr, "Client::multi_get: null callback");
-  if (keys.empty()) {  // fire exactly once — an empty gather never completes
-    cb({});
-    return;
-  }
-  if (remote()) {
-    // Concurrent fan-out over the connection pool: every sub-get is
-    // pipelined before the first reply is awaited, so the batch costs one
-    // round-trip, not keys.size() of them.  The callback still fires
-    // inline on this thread (the documented remote contract).
-    const std::size_t n = keys.size();
-    std::vector<GetResult> results(n);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t left = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      submit_get(
-          keys[i],
-          [&, i](const GetResult& r) {
-            std::lock_guard<std::mutex> lk(mu);
-            results[i] = r;
-            if (--left == 0) cv.notify_one();
-          },
-          opts);
-    }
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return left == 0; });
-    lk.unlock();
-    cb(std::move(results));
-    return;
-  }
-  auto gather = detail::make_gather<GetResult>(keys.size(), std::move(cb));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    get(keys[i],
-        [gather, i](const GetResult& r) {
-          detail::gather_finish(gather, i, r);
-        },
-        opts);
-  }
+  // Every sub-get is submitted before the first completes, so a remote
+  // batch costs one round trip, not keys.size() of them.
+  with_callback<std::vector<GetResult>>(remote(), std::move(cb),
+                                        [&](auto done) {
+    detail::scatter_gather<GetResult>(
+        keys.size(), std::move(done), [&](std::size_t i, GetCallback sub) {
+          submit_get(keys[i], std::move(sub), opts);
+        });
+  });
 }
 
 void Client::multi_put(std::vector<KeyValue> entries, MultiPutCallback cb,
                        OpOptions opts) {
   LDS_REQUIRE(cb != nullptr, "Client::multi_put: null callback");
-  if (entries.empty()) {
-    cb({});
-    return;
-  }
-  if (remote()) {
-    const std::size_t n = entries.size();
-    std::vector<PutResult> results(n);
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t left = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      submit_put(
-          entries[i].key, std::move(entries[i].value),
-          [&, i](const PutResult& r) {
-            std::lock_guard<std::mutex> lk(mu);
-            results[i] = r;
-            if (--left == 0) cv.notify_one();
-          },
-          opts);
-    }
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return left == 0; });
-    lk.unlock();
-    cb(std::move(results));
-    return;
-  }
-  auto gather = detail::make_gather<PutResult>(entries.size(), std::move(cb));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    put(entries[i].key, std::move(entries[i].value),
-        [gather, i](const PutResult& r) {
-          detail::gather_finish(gather, i, r);
-        },
-        opts);
-  }
+  with_callback<std::vector<PutResult>>(remote(), std::move(cb),
+                                        [&](auto done) {
+    detail::scatter_gather<PutResult>(
+        entries.size(), std::move(done), [&](std::size_t i, PutCallback sub) {
+          submit_put(entries[i].key, std::move(entries[i].value),
+                     std::move(sub), opts);
+        });
+  });
 }
 
 // ---- sync wrappers ----------------------------------------------------------
@@ -750,40 +515,18 @@ using detail::run_op_sync;
 
 Result<Version> Client::put_sync(const std::string& key, Value value,
                                  OpOptions opts) {
-  if (remote()) {
-    // Remote async ops block inline, so the callback has fired by return.
-    PutResult rr;
-    put(key, std::move(value), [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.status.ok()) return rr.status;
-    return rr.version;
-  }
   const PutResult r = run_op_sync<PutResult>(
-      svc_->engine(), svc_->parallel(),
-      "Client::put_sync: simulation drained before completion",
-      [&](auto done) {
-        put(key, std::move(value),
-            [done = std::move(done)](const PutResult& pr) { done(pr); },
-            opts);
-      });
+      engine_of(svc_), "Client::put_sync: simulation drained before completion",
+      [&](auto done) { put(key, std::move(value), std::move(done), opts); });
   if (!r.status.ok()) return r.status;
   return r.version;
 }
 
 Result<VersionedValue> Client::get_sync(const std::string& key,
                                         OpOptions opts) {
-  if (remote()) {
-    GetResult rr;
-    get(key, [&rr](const GetResult& gr) { rr = gr; }, opts);
-    if (!rr.status.ok()) return rr.status;
-    return VersionedValue{rr.version, rr.value};
-  }
   const GetResult r = run_op_sync<GetResult>(
-      svc_->engine(), svc_->parallel(),
-      "Client::get_sync: simulation drained before completion",
-      [&](auto done) {
-        get(key, [done = std::move(done)](const GetResult& gr) { done(gr); },
-            opts);
-      });
+      engine_of(svc_), "Client::get_sync: simulation drained before completion",
+      [&](auto done) { get(key, std::move(done), opts); });
   if (!r.status.ok()) return r.status;
   return VersionedValue{r.version, r.value};
 }
@@ -791,20 +534,11 @@ Result<VersionedValue> Client::get_sync(const std::string& key,
 Result<Version> Client::put_if_version_sync(const std::string& key,
                                             Value value, Version expected,
                                             OpOptions opts) {
-  if (remote()) {
-    PutResult rr;
-    put_if_version(key, std::move(value), expected,
-                   [&rr](const PutResult& pr) { rr = pr; }, opts);
-    if (!rr.status.ok()) return rr.status;
-    return rr.version;
-  }
   const PutResult r = run_op_sync<PutResult>(
-      svc_->engine(), svc_->parallel(),
+      engine_of(svc_),
       "Client::put_if_version_sync: simulation drained before completion",
       [&](auto done) {
-        put_if_version(
-            key, std::move(value), expected,
-            [done = std::move(done)](const PutResult& pr) { done(pr); }, opts);
+        put_if_version(key, std::move(value), expected, std::move(done), opts);
       });
   if (!r.status.ok()) return r.status;
   return r.version;
@@ -812,30 +546,16 @@ Result<Version> Client::put_if_version_sync(const std::string& key,
 
 std::vector<GetResult> Client::multi_get_sync(std::vector<std::string> keys,
                                               OpOptions opts) {
-  if (remote()) {
-    std::vector<GetResult> rr;
-    multi_get(std::move(keys), [&rr](std::vector<GetResult> v) {
-      rr = std::move(v);
-    }, opts);
-    return rr;
-  }
   return run_op_sync<std::vector<GetResult>>(
-      svc_->engine(), svc_->parallel(),
+      engine_of(svc_),
       "Client::multi_get_sync: simulation drained before completion",
       [&](auto done) { multi_get(std::move(keys), std::move(done), opts); });
 }
 
 std::vector<PutResult> Client::multi_put_sync(std::vector<KeyValue> entries,
                                               OpOptions opts) {
-  if (remote()) {
-    std::vector<PutResult> rr;
-    multi_put(std::move(entries), [&rr](std::vector<PutResult> v) {
-      rr = std::move(v);
-    }, opts);
-    return rr;
-  }
   return run_op_sync<std::vector<PutResult>>(
-      svc_->engine(), svc_->parallel(),
+      engine_of(svc_),
       "Client::multi_put_sync: simulation drained before completion",
       [&](auto done) { multi_put(std::move(entries), std::move(done), opts); });
 }

@@ -37,17 +37,18 @@
 //
 // Remote-connect mode (Client::connect): the same API over a pool of TCP
 // connections to a served StoreService (store/remote.h, tools/lds_served.cpp).
-// The differences are inherent to leaving the address space:
+// Every entry point, in both modes, runs one nonblocking op core; the modes
+// differ only where leaving the address space forces it.
 // OpOptions::deadline and RetryPolicy backoffs are wall-clock SECONDS
-// (engine time does not exist on this side of the socket), put/get/
-// put_if_version callbacks are invoked inline after the blocking RPC
-// completes, and nothing is deterministic.  ReadMode still applies (the
-// mode rides the request).  multi_get/multi_put pipeline their
-// sub-operations concurrently across the pool — a batch costs one round
-// trip — and the completion-queue API below (async_put/async_get/
-// async_put_if + CompletionQueue) submits without blocking at all:
-// completions surface on the transport's progress threads, deadlines on
-// its timer thread, retries without occupying a caller thread.
+// (engine time does not exist on this side of the socket), and nothing is
+// deterministic.  put/get/put_if_version/multi_* run the core, wait for it
+// on one cell and invoke their callback on the calling thread before they
+// return.  ReadMode still applies (the mode rides the request).  multi_get/
+// multi_put pipeline their sub-operations concurrently across the pool — a
+// batch costs one round trip — and the completion-queue API below
+// (async_put/async_get/async_put_if + CompletionQueue) submits without
+// blocking at all: completions surface on the transport's progress threads,
+// deadlines on its timer thread, retries without occupying a caller thread.
 //
 // Values are zero-copy handles end to end: the buffer a caller puts is the
 // buffer the batch window queues, the writer fans out, and the L1 servers
@@ -93,8 +94,9 @@ struct RetryPolicy {
 /// Per-operation options.  Defaults mean: no deadline, no retry, atomic
 /// reads — i.e. exactly the raw StoreService behavior.
 struct OpOptions {
-  /// Engine-clock budget for the whole operation, retries included;
-  /// 0 = unbounded.  Expiry completes the op with DeadlineExceeded.
+  /// Engine-clock budget for the whole operation, every retry and cache
+  /// validation round included; 0 = unbounded.  Expiry completes the op
+  /// with DeadlineExceeded.
   double deadline = 0;
   RetryPolicy retry;
   ReadMode read_mode = ReadMode::Atomic;
@@ -191,8 +193,8 @@ class Client {
  public:
   using PutCallback = StoreService::PutCallback;
   using GetCallback = StoreService::GetCallback;
-  using MultiGetCallback = StoreService::MultiGetCallback;
-  using MultiPutCallback = StoreService::MultiPutCallback;
+  using MultiGetCallback = std::function<void(std::vector<GetResult>)>;
+  using MultiPutCallback = std::function<void(std::vector<PutResult>)>;
 
   /// The service must outlive the client.  `cache` opts into the client-
   /// side read cache (default: disabled — byte-identical to the uncached
@@ -310,18 +312,9 @@ class Client {
   }
 
  private:
-  /// Mutable per-op coordination: lives on the op's lane; `settled` is
-  /// atomic only because multi-op gathers read results across lanes.
-  struct PutOp;
-  struct GetOp;
-  /// How one attempt of a put-like op is submitted to the service (plain
-  /// put, or put_if with a bound expected version).  Type-erased so the
-  /// deadline/retry driver exists once.
-  using PutSubmit =
-      std::function<void(const std::string&, Value, StoreService::PutCallback)>;
-
-  /// Async remote attempt chain (retry state; see client.cpp).
-  struct AsyncOp;
+  /// One settle-once operation, local or remote (see client.cpp).
+  template <typename R>
+  struct Op;
 
   Client(std::vector<std::unique_ptr<RemoteSession>> remotes,
          CacheOptions cache);
@@ -331,27 +324,32 @@ class Client {
   }
   /// Round-robin over the connection pool (remote mode only).
   RemoteSession& pick();
-  /// Remote path shared by put and put_if_version: wall-clock deadline +
-  /// bounded-backoff retries around one blocking RPC per attempt.
-  PutResult remote_put_op(OpOptions opts,
-                          const std::function<PutResult(double)>& attempt);
-  /// Fire one attempt of an async remote op (and its retries, scheduled on
-  /// the session's timer thread).
-  void remote_attempt(std::shared_ptr<AsyncOp> op);
-  /// Nonblocking submission cores shared by the async_* overloads and the
-  /// remote multi_* fan-out.  `cb` always fires exactly once.
+
+  /// The op cores: every entry point runs one of these, in both modes.
+  /// Nonblocking; `cb` (may be null) fires exactly once.
   void submit_put(const std::string& key, Value value, PutCallback cb,
                   OpOptions opts);
   void submit_get(const std::string& key, GetCallback cb, OpOptions opts);
   void submit_put_if(const std::string& key, Value value, Version expected,
                      PutCallback cb, OpOptions opts);
-  /// Shared driver for put and put_if_version: closed/empty-key prechecks,
-  /// lane hop, deadline arming, bounded-backoff retries.
-  void run_put_op(const std::string& key, Value value, OpOptions opts,
-                  PutCallback cb, PutSubmit submit);
-  void attempt_put_op(const std::string& key, Value value, OpOptions opts,
-                      std::shared_ptr<PutOp> op, std::size_t attempt,
-                      double backoff, std::shared_ptr<PutSubmit> submit);
+  /// Start `op` and run `body` in its context.  Local: on the key's shard
+  /// lane, after arming the op's one deadline timer there.  Remote: on the
+  /// calling thread, with the op pinned to one pooled connection and its
+  /// wall-clock budget started.
+  template <typename R, typename Body>
+  void begin(const std::string& key, std::shared_ptr<Op<R>> op, Body body);
+  /// One attempt of a put or put_if_version (the op's `req`).
+  void attempt_put(const std::shared_ptr<Op<PutResult>>& op);
+  /// Settle the op, or retry a transient failure after its backoff (lane
+  /// timer locally, session timer remotely, so no caller thread sleeps).
+  void settle_attempt(const std::shared_ptr<Op<PutResult>>& op,
+                      const PutResult& r);
+  /// One read round of `op` in `mode`: `then` sees its result unless the op
+  /// already settled.  Local rounds run under the op's one lane timer;
+  /// remote rounds get what is left of the op's budget.
+  void read_round(const std::string& key,
+                  const std::shared_ptr<Op<GetResult>>& op, ReadMode mode,
+                  GetCallback then);
 
   // ---- read-cache internals (all no-ops when cache_ is null) ----------------
   /// Whether this (already prechecked) get should consult the cache.
@@ -359,14 +357,12 @@ class Client {
     return cache_ != nullptr && mode == ReadMode::Atomic &&
            cache_usable_.load(std::memory_order_acquire);
   }
-  /// The uncached async get core: remote = pipelined RPC, local = lane hop
-  /// + deadline + service get.  No prechecks (callers did them).
-  void raw_get(const std::string& key, GetCallback cb, OpOptions opts);
-  void local_get(const std::string& key, GetCallback cb, OpOptions opts);
-  /// Cache-consulting async get: TTL hit / validation round / fill.
-  void cached_get(const std::string& key, GetCallback cb, OpOptions opts);
-  /// Full get that refreshes the cache entry on success.
-  void fill_get(const std::string& key, GetCallback cb, OpOptions opts);
+  /// Cache-consulting get: TTL hit / validation round / fill round, all
+  /// under one deadline.
+  void cached_get(const std::string& key, std::shared_ptr<Op<GetResult>> op);
+  /// Full read round that refreshes the cache entry on success.
+  void fill_round(const std::string& key,
+                  const std::shared_ptr<Op<GetResult>>& op);
   /// Fold a put outcome into the cache (update on commit, invalidate on
   /// coalesce/abort) and forward to `cb`.  Identity when the cache is off.
   PutCallback wrap_put_cb(const std::string& key, const Value& value,

@@ -396,20 +396,43 @@ RemoteSession::~RemoteSession() { close(); }
 
 void RemoteSession::close() {
   // Stop first: joins the progress threads, so no reply/timer/disconnect
-  // callback can race the sweep below.  Whatever is still pending after the
+  // callback can race the sweeps below.  Whatever is still pending after the
   // join lost its chance at a reply.
   transport_.stop();
   fail_all(Status::Unavailable("session closed"));
+  // The stopped transport discarded its timers; run ours now, against the
+  // closed session.
+  std::unordered_map<std::uint64_t, std::function<void()>> orphans;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    orphans.swap(timers_);
+  }
+  for (auto& [id, fn] : orphans) fn();
 }
 
-bool RemoteSession::connected() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return !disconnected_;
-}
-
-std::size_t RemoteSession::inflight() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pending_.size();
+bool RemoteSession::after(double delay_s, std::function<void()> fn) {
+  std::uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    id = next_timer_++;
+    timers_.emplace(id, std::move(fn));
+  }
+  const bool armed = transport_.after(delay_s, [this, id] {
+    std::function<void()> due;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      const auto it = timers_.find(id);
+      if (it == timers_.end()) return;
+      due = std::move(it->second);
+      timers_.erase(it);
+    }
+    due();
+  });
+  if (!armed) {
+    std::lock_guard<std::mutex> lk(mu_);
+    timers_.erase(id);
+  }
+  return armed;
 }
 
 void RemoteSession::fail_all(const Status& why) {
@@ -494,61 +517,6 @@ void RemoteSession::async_call(RemoteBody req, double deadline_s,
   // May block at the transport's backlog watermark; the deadline timer
   // above still fires on schedule while we wait.
   transport_.deliver(0, server_, std::move(msg), 0);
-}
-
-Status RemoteSession::call(RemoteBody req, double deadline_s,
-                           RemoteReply* out) {
-  struct Cell {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status st = Status::Ok();
-    RemoteReply reply;
-  };
-  auto cell = std::make_shared<Cell>();
-  async_call(std::move(req), deadline_s,
-             [cell](Status st, RemoteReply reply) {
-               std::lock_guard<std::mutex> lk(cell->mu);
-               cell->st = std::move(st);
-               cell->reply = std::move(reply);
-               cell->done = true;
-               cell->cv.notify_one();
-             });
-  std::unique_lock<std::mutex> lk(cell->mu);
-  cell->cv.wait(lk, [&] { return cell->done; });
-  if (!cell->st.ok()) return std::move(cell->st);
-  *out = std::move(cell->reply);
-  return Status::Ok();
-}
-
-PutResult RemoteSession::put(const std::string& key, Value value,
-                             double deadline_s) {
-  RemoteReply reply;
-  if (Status s = call(RemotePut{key, std::move(value)}, deadline_s, &reply);
-      !s.ok()) {
-    return PutResult::failure(std::move(s));
-  }
-  return to_put_result(reply);
-}
-
-GetResult RemoteSession::get(const std::string& key, ReadMode mode,
-                             double deadline_s) {
-  RemoteReply reply;
-  if (Status s = call(RemoteGet{key, mode}, deadline_s, &reply); !s.ok()) {
-    return GetResult::failure(std::move(s));
-  }
-  return to_get_result(reply);
-}
-
-PutResult RemoteSession::put_if(const std::string& key, Value value,
-                                Version expected, double deadline_s) {
-  RemoteReply reply;
-  if (Status s = call(RemotePutIf{key, std::move(value), expected}, deadline_s,
-                      &reply);
-      !s.ok()) {
-    return PutResult::failure(std::move(s));
-  }
-  return to_put_result(reply);
 }
 
 }  // namespace lds::store

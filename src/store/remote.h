@@ -13,7 +13,8 @@
 //
 // Every request carries a per-connection request id in the frame's OpId
 // field; the reply echoes it, so one connection multiplexes any number of
-// concurrent callers (RemoteSession below blocks each caller on its own id).
+// concurrent callers (RemoteSession below hands each reply to the callback
+// registered under its id).
 //
 // Threading: RemoteServer's handler runs on the transport's event-loop
 // thread and submits straight into StoreService's thread-safe client API —
@@ -28,7 +29,7 @@
 // --remote).
 #pragma once
 
-#include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -113,8 +114,8 @@ class RemoteMessage final : public net::Payload {
 /// RemoteMessages to a transport directly, e.g. bench_codec).
 void register_store_wire();
 
-/// Convert a RemoteReply into the client-visible result types (used by the
-/// session's blocking wrappers and Client's async completion path).
+/// Convert a RemoteReply into the client-visible result types (Client's
+/// completion path).
 PutResult to_put_result(const RemoteReply& r);
 GetResult to_get_result(const RemoteReply& r);
 
@@ -159,8 +160,7 @@ class RemoteServer {
 /// ASYNC-FIRST — async_call() sends a request and later invokes a callback
 /// with the reply (on the transport's progress thread), a deadline expiry
 /// (transport timer thread), or a disconnect failure.  Exactly one of those
-/// wins per request: whichever fires first pops the pending entry.  The
-/// blocking put/get/put_if are thin cell-and-wait wrappers over async_call.
+/// wins per request: whichever fires first pops the pending entry.
 /// Deadlines are wall-clock seconds — engine time does not exist on this
 /// side of the socket.
 class RemoteSession {
@@ -181,43 +181,32 @@ class RemoteSession {
   /// invoke `cb` synchronously on the caller's thread.
   void async_call(RemoteBody req, double deadline_s, ReplyCallback cb);
 
-  PutResult put(const std::string& key, Value value, double deadline_s = 0);
-  GetResult get(const std::string& key, ReadMode mode = ReadMode::Atomic,
-                double deadline_s = 0);
-  PutResult put_if(const std::string& key, Value value, Version expected,
-                   double deadline_s = 0);
-
-  bool connected() const;
   /// Drop the connection and fail every in-flight request with Unavailable
   /// (callbacks run on the calling thread).  Idempotent; the dtor calls it.
   void close();
 
-  /// Requests sent whose outcome callback has not fired yet.
-  std::size_t inflight() const;
-  /// Transport stats (zero-copy bytes, backpressure stalls, ...).
-  const net::TcpTransport& transport() const { return transport_; }
-  /// Run `fn` on the transport timer thread after `delay_s` seconds; false
+  /// Run `fn` on the transport timer thread after `delay_s` seconds — or,
+  /// should the session close first, from close(), so a scheduled retry
+  /// always runs once and fails fast instead of never completing.  False
   /// once the session is closed.  Retry/backoff timers live here.
-  bool after(double delay_s, std::function<void()> fn) {
-    return transport_.after(delay_s, std::move(fn));
-  }
+  bool after(double delay_s, std::function<void()> fn);
 
  private:
   explicit RemoteSession(net::TcpTransport::Options topt)
       : transport_(topt) {}
 
-  /// Send one request and block for its reply (or deadline/disconnect).
-  Status call(RemoteBody req, double deadline_s, RemoteReply* out);
   void on_message(NodeId peer, const net::MessagePtr& msg);
   /// Pop every pending request and fail it with `why` (unlocked callbacks).
   void fail_all(const Status& why);
 
   net::TcpTransport transport_;
   NodeId server_ = kNoNode;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::uint64_t next_id_ = 1;
   std::unordered_map<OpId, ReplyCallback> pending_;
   bool disconnected_ = false;
+  std::uint64_t next_timer_ = 0;
+  std::unordered_map<std::uint64_t, std::function<void()>> timers_;
 };
 
 }  // namespace lds::store

@@ -768,49 +768,13 @@ void StoreService::enqueue_put_if(std::size_t shard_idx,
   pump_gets(shard_idx);
 }
 
-void StoreService::multi_get(std::vector<std::string> keys,
-                             MultiGetCallback cb) {
-  LDS_REQUIRE(cb != nullptr, "multi_get: null callback");
-  metrics_.counter("multi_gets").inc();
-  // An empty key vector must still fire exactly once: a gather that never
-  // sees a sub-op completion would otherwise leave the caller (and any sync
-  // wrapper spinning on it) hung forever.
-  if (keys.empty()) {
-    cb({});
-    return;
-  }
-  auto gather = detail::make_gather<GetResult>(keys.size(), std::move(cb));
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    get(keys[i], [gather, i](const GetResult& r) {
-      detail::gather_finish(gather, i, r);
-    });
-  }
-}
-
-void StoreService::multi_put(std::vector<KeyValue> entries,
-                             MultiPutCallback cb) {
-  LDS_REQUIRE(cb != nullptr, "multi_put: null callback");
-  metrics_.counter("multi_puts").inc();
-  if (entries.empty()) {  // fire exactly once, as in multi_get
-    cb({});
-    return;
-  }
-  auto gather = detail::make_gather<PutResult>(entries.size(), std::move(cb));
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    put(entries[i].key, std::move(entries[i].value),
-        [gather, i](const PutResult& r) {
-          detail::gather_finish(gather, i, r);
-        });
-  }
-}
-
 // ---- sync wrappers ----------------------------------------------------------
 
 using detail::run_op_sync;
 
 PutResult StoreService::put_sync(const std::string& key, Value value) {
   return run_op_sync<PutResult>(
-      *engine_, parallel_, "put_sync: simulation drained before completion",
+      engine_.get(), "put_sync: simulation drained before completion",
       [&](auto done) {
         put(key, std::move(value),
             [done = std::move(done)](const PutResult& r) { done(r); });
@@ -819,7 +783,7 @@ PutResult StoreService::put_sync(const std::string& key, Value value) {
 
 GetResult StoreService::get_sync(const std::string& key, ReadMode mode) {
   return run_op_sync<GetResult>(
-      *engine_, parallel_, "get_sync: simulation drained before completion",
+      engine_.get(), "get_sync: simulation drained before completion",
       [&](auto done) {
         get(key, [done = std::move(done)](const GetResult& r) { done(r); },
             mode);
@@ -829,27 +793,11 @@ GetResult StoreService::get_sync(const std::string& key, ReadMode mode) {
 PutResult StoreService::put_if_sync(const std::string& key, Value value,
                                     Version expected) {
   return run_op_sync<PutResult>(
-      *engine_, parallel_,
+      engine_.get(),
       "put_if_sync: simulation drained before completion", [&](auto done) {
         put_if(key, std::move(value), expected,
                [done = std::move(done)](const PutResult& r) { done(r); });
       });
-}
-
-std::vector<GetResult> StoreService::multi_get_sync(
-    std::vector<std::string> keys) {
-  return run_op_sync<std::vector<GetResult>>(
-      *engine_, parallel_,
-      "multi_get_sync: simulation drained before completion",
-      [&](auto done) { multi_get(std::move(keys), std::move(done)); });
-}
-
-std::vector<PutResult> StoreService::multi_put_sync(
-    std::vector<KeyValue> entries) {
-  return run_op_sync<std::vector<PutResult>>(
-      *engine_, parallel_,
-      "multi_put_sync: simulation drained before completion",
-      [&](auto done) { multi_put(std::move(entries), std::move(done)); });
 }
 
 // ---- crash injection & quiescence -------------------------------------------
@@ -873,7 +821,7 @@ bool StoreService::inject_crash(std::size_t shard, Rng& rng) {
   // Hop to the shard's lane and wait for the verdict.  The calling thread
   // blocks, so handing it our Rng reference is race-free.
   return run_op_sync<bool>(
-      *engine_, /*parallel=*/true, "inject_crash: cannot stall",
+      engine_.get(), "inject_crash: cannot stall",
       [&](auto done) {
         engine_->post(shards_.at(shard)->lane, [&, done = std::move(done)] {
           done(inject_crash_on_lane(shard, rng));

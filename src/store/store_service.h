@@ -3,11 +3,10 @@
 //
 // Layering (ROADMAP north star "sharding, batching, async, caching"):
 //
-//   store::Client (store/client.h) — deadlines, retries, Status sync API
-//        │
-//   put/get/put_if/multi_get/multi_put (string keys, async callbacks or
-//        │                              sync wrappers; Status + Version
-//        │                              results, zero-copy Value payloads)
+//   store::Client (store/client.h) — deadlines, retries, multi-key
+//        │                            gathers, Status sync API
+//   put/get/put_if (string keys, async callbacks or sync wrappers;
+//        │          Status + Version results, zero-copy Value payloads)
 //        │
 //   ShardRouter ── consistent-hash ring: key -> shard; shard -> engine lane
 //        │
@@ -214,8 +213,6 @@ class StoreService {
  public:
   using PutCallback = std::function<void(const PutResult&)>;
   using GetCallback = std::function<void(const GetResult&)>;
-  using MultiGetCallback = std::function<void(std::vector<GetResult>)>;
-  using MultiPutCallback = std::function<void(std::vector<PutResult>)>;
 
   explicit StoreService(StoreOptions opt);
   ~StoreService();
@@ -256,12 +253,6 @@ class StoreService {
   /// gets its own tag.
   void put_if(const std::string& key, Value value, Version expected,
               PutCallback cb = {});
-  /// Fan out one get per key (keys may span shards); the callback fires
-  /// when all have completed, results in key order.  An empty key vector
-  /// still fires the callback exactly once, with an empty result.
-  void multi_get(std::vector<std::string> keys, MultiGetCallback cb);
-  /// Scatter-gather puts, results in entry order; empty input fires once.
-  void multi_put(std::vector<KeyValue> entries, MultiPutCallback cb);
 
   // ---- sync wrappers --------------------------------------------------------
   // Deterministic: drive the simulator until completion.  Parallel: block
@@ -271,8 +262,6 @@ class StoreService {
                      ReadMode mode = ReadMode::Atomic);
   PutResult put_if_sync(const std::string& key, Value value,
                         Version expected);
-  std::vector<GetResult> multi_get_sync(std::vector<std::string> keys);
-  std::vector<PutResult> multi_put_sync(std::vector<KeyValue> entries);
 
   // ---- remote serving --------------------------------------------------------
   /// Serve remote store::Clients (store/remote.h) on 127.0.0.1:`port`

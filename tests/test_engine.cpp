@@ -303,7 +303,7 @@ TEST(ParallelStore, SyncWrappersRoundTrip) {
   ASSERT_TRUE(get.status.ok());
   EXPECT_EQ(get.value, (Bytes{1, 2, 3}));
   EXPECT_EQ(get.tag, put.tag);
-  const auto multi = svc.multi_get_sync({"alpha", "beta"});
+  const auto multi = store::Client(svc).multi_get_sync({"alpha", "beta"});
   ASSERT_EQ(multi.size(), 2u);
   EXPECT_EQ(multi[0].value, (Bytes{1, 2, 3}));
   // Unwritten keys report NotFound instead of interning + reading v0.

@@ -348,8 +348,6 @@ TEST(StoreClient, EmptyMultiGetAndMultiPutFireExactlyOnce) {
   // quiesce-hang regression the gather guard exists for).
   EXPECT_TRUE(client.multi_get_sync({}).empty());
   EXPECT_TRUE(client.multi_put_sync({}).empty());
-  EXPECT_TRUE(svc.multi_get_sync({}).empty());
-  EXPECT_TRUE(svc.multi_put_sync({}).empty());
   svc.quiesce();
   EXPECT_EQ(svc.outstanding(), 0u);
 }
@@ -519,6 +517,27 @@ TEST(StoreClientCache, StaleVersionFallsThroughToFullReadAndRefreshes) {
   EXPECT_EQ(cached.metrics().counter_total("cache_hits"), 1u);
   svc.quiesce();
   expect_all_histories_clean(svc);
+}
+
+TEST(StoreClientCache, DeadlineCoversValidationAndFillRounds) {
+  // A stale hit costs a tag-only validation round (2.0 sim units here) and
+  // then a full get (12.0).  OpOptions::deadline budgets the whole op, so
+  // 13.0 must expire during the fill round instead of restarting with it.
+  StoreService svc(small_options(1));
+  Client cached(svc, cache_opts());
+  Client other(svc);
+  ASSERT_TRUE(cached.put_sync("k", Bytes{1}).ok());
+  ASSERT_TRUE(other.put_sync("k", Bytes{2}).ok());  // cached entry now stale
+
+  OpOptions opts;
+  opts.deadline = 13.0;
+  const double t0 = svc.sim().now();
+  const auto g = cached.get_sync("k", opts);
+  ASSERT_FALSE(g.ok());
+  EXPECT_TRUE(g.status().is(StatusCode::kDeadlineExceeded))
+      << g.status().to_string();
+  EXPECT_DOUBLE_EQ(svc.sim().now(), t0 + 13.0);
+  EXPECT_EQ(cached.metrics().counter_total("cache_stale_validations"), 1u);
 }
 
 TEST(StoreClientCache, LocalWritesKeepTheCacheCurrent) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 
+#include "store/client.h"
 #include "store/metrics.h"
 #include "store/store_service.h"
 #include "store_test_util.h"
@@ -163,7 +164,7 @@ TEST(StoreService, MultiGetSpansShardsAndPreservesOrder) {
     ASSERT_TRUE(svc.put_sync(keys.back(), Bytes{static_cast<std::uint8_t>(i)})
                     .status.ok());
   }
-  const auto results = svc.multi_get_sync(keys);
+  const auto results = Client(svc).multi_get_sync(keys);
   ASSERT_EQ(results.size(), keys.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].status.ok());

@@ -14,6 +14,9 @@
 //     slow reader instead of growing the queue without bound, and every
 //     frame still arrives.
 //   * Disconnects — a dying server fails pending async ops promptly.
+//   * Retries — every entry point retries an AdmissionReject up to
+//     max_attempts, a backoff is capped at the deadline's wall-clock budget,
+//     and close() cancels an op waiting out its backoff.
 //   * Pool fan-out — a multi-connection client against a multi-progress-
 //     thread server: concurrent async traffic, then both linearizability
 //     checkers over the served histories.
@@ -22,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
@@ -357,6 +361,133 @@ TEST(AsyncClient, ServerDeathFailsPendingOpsPromptly) {
     EXPECT_TRUE(c.get.status.is(StatusCode::kUnavailable))
         << c.get.status.to_string();
   }
+}
+
+// ---- remote retry contract ---------------------------------------------------
+
+/// A served Parallel store that rejects every put (admission_limit = 0).
+struct RejectingStore {
+  std::unique_ptr<store::StoreService> svc;
+
+  RejectingStore() {
+    store::StoreOptions sopt;
+    sopt.shards = 1;
+    sopt.engine_mode = EngineMode::Parallel;
+    sopt.engine_threads = 1;
+    sopt.seed = 29;
+    sopt.admission_limit = 0;
+    svc = std::make_unique<store::StoreService>(sopt);
+    const Status st = svc->listen(0);
+    EXPECT_TRUE(st.ok()) << st.to_string();
+  }
+  std::uint64_t rejected() const {
+    return svc->metrics().counter_total("puts_rejected");
+  }
+};
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(AsyncClient, RetryPolicyRunsInWallClockSecondsOverTcp) {
+  RejectingStore served;
+  Status st;
+  auto client = store::Client::connect("127.0.0.1", served.svc->listen_port(),
+                                       &st);
+  ASSERT_NE(client, nullptr) << st.to_string();
+  const Value v = Value::from_string("v");
+
+  // Every entry point retries a reject until max_attempts, then surfaces it.
+  store::OpOptions retry;
+  retry.retry.max_attempts = 3;
+  retry.retry.backoff = 0.01;
+  std::uint64_t before = served.rejected();
+  const auto put = client->put_sync("k", v, retry);
+  EXPECT_TRUE(put.status().is(StatusCode::kAdmissionReject))
+      << put.status().to_string();
+  EXPECT_EQ(served.rejected() - before, 3u);
+
+  before = served.rejected();
+  store::PutResult inline_result;
+  std::thread::id cb_thread;
+  client->put("k", v,
+              [&](const store::PutResult& r) {
+                inline_result = r;
+                cb_thread = std::this_thread::get_id();
+              },
+              retry);
+  // The callback ran on this thread before put() returned.
+  EXPECT_EQ(cb_thread, std::this_thread::get_id());
+  EXPECT_TRUE(inline_result.status.is(StatusCode::kAdmissionReject))
+      << inline_result.status.to_string();
+  EXPECT_EQ(served.rejected() - before, 3u);
+
+  before = served.rejected();
+  std::promise<store::PutResult> async_done;
+  client->async_put(
+      "k", v, [&](const store::PutResult& r) { async_done.set_value(r); },
+      retry);
+  auto fut = async_done.get_future();
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  EXPECT_TRUE(fut.get().status.is(StatusCode::kAdmissionReject));
+  EXPECT_EQ(served.rejected() - before, 3u);
+
+  before = served.rejected();
+  const auto cas = client->put_if_version_sync("k", v, Version(kTag0), retry);
+  EXPECT_TRUE(cas.status().is(StatusCode::kAdmissionReject))
+      << cas.status().to_string();
+  EXPECT_EQ(served.rejected() - before, 3u);
+
+  // A backoff longer than the deadline is capped at the budget left: the op
+  // reports DeadlineExceeded on time, not a 30 s backoff late.
+  store::OpOptions tight;
+  tight.deadline = 0.2;
+  tight.retry.max_attempts = 5;
+  tight.retry.backoff = 30;
+  auto t0 = std::chrono::steady_clock::now();
+  const auto late = client->put_sync("k", v, tight);
+  EXPECT_TRUE(late.status().is(StatusCode::kDeadlineExceeded))
+      << late.status().to_string();
+  EXPECT_LT(seconds_since(t0), 1.0);
+
+  std::promise<store::PutResult> capped_done;
+  t0 = std::chrono::steady_clock::now();
+  client->async_put(
+      "k", v, [&](const store::PutResult& r) { capped_done.set_value(r); },
+      tight);
+  auto capped = capped_done.get_future();
+  ASSERT_EQ(capped.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(capped.get().status.is(StatusCode::kDeadlineExceeded));
+  EXPECT_LT(seconds_since(t0), 1.0);
+}
+
+TEST(AsyncClient, CloseCancelsAnOpWaitingOutItsBackoff) {
+  RejectingStore served;
+  Status st;
+  auto client = store::Client::connect("127.0.0.1", served.svc->listen_port(),
+                                       &st);
+  ASSERT_NE(client, nullptr) << st.to_string();
+  store::OpOptions opts;
+  opts.retry.max_attempts = 5;
+  opts.retry.backoff = 30;
+  client->async_put("k", Value::from_string("v"), opts);
+  // Once the first attempt is rejected, the op sits in its 30 s backoff.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (served.rejected() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(served.rejected(), 1u);
+  // Let the reject reach the client so the op is in its backoff.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  client->close();
+  store::Completion c;
+  ASSERT_TRUE(client->completions().wait(&c, 10.0));
+  EXPECT_TRUE(c.put.status.is(StatusCode::kUnavailable))
+      << c.put.status.to_string();
 }
 
 TEST(AsyncClient, PoolFanOutHistoriesPassBothVerifiers) {
