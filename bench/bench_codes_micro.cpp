@@ -4,11 +4,13 @@
 // Two modes:
 //   (default)        google-benchmark over the BM_* suites below.
 //   --json <path>    snapshot mode: manually timed GB/s of the GF kernels by
-//                    ISA x length and of encode_value by code x size x path
+//                    ISA x length, of encode_value by code x size x path
 //                    (stripewise-scalar baseline, planar SIMD, planar +
-//                    engine lanes), written as BENCH_gf256.json rows.  This
-//                    is the perf-trajectory record for the SIMD gate
-//                    (ROADMAP: >= 4x encode at 4 KiB stripes vs scalar).
+//                    engine lanes) and of decode_value, repair_element and
+//                    helper_data by code x size, written as BENCH_gf256.json
+//                    rows.  This is the perf-trajectory record for the SIMD
+//                    gates (ROADMAP: >= 4x encode at 4 KiB stripes vs
+//                    scalar; decode within 2x of encode).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -242,7 +244,11 @@ int run_snapshot(int argc, char** argv) {
   // encode_value by code x value size x path.  "stripewise_scalar" is the
   // pre-SIMD baseline (reference loop on scalar kernels); "planar" is the
   // production serial path on the best ISA; "planar_lanes" adds the engine
-  // fan-out (4 lanes; wall-clock gain tracks physical cores).
+  // fan-out (4 lanes; wall-clock gain tracks physical cores).  Then the
+  // other planar operations on the best ISA: decode from the first k
+  // elements, repair of element 0 from helpers 1..d, and one helper's data.
+  // Every row counts value bytes per second, so decode and encode compare
+  // directly.
   struct NamedCode {
     const char* name;
     codes::StripedCode code;
@@ -284,6 +290,34 @@ int run_snapshot(int argc, char** argv) {
           "%-32s stripewise(scalar) %7.3f GB/s  planar %7.3f GB/s  "
           "+lanes %7.3f GB/s  speedup %5.1fx\n",
           p.c_str(), base, planar, lanes, planar / base);
+
+      const auto elems = nc.code.encode_value(value);
+      const int target = 0;
+      std::vector<codes::IndexedBytes> coded;
+      for (std::size_t j = 0; j < nc.code.k(); ++j) {
+        coded.emplace_back(static_cast<int>(j), elems[j]);
+      }
+      std::vector<codes::IndexedBytes> helpers;
+      for (std::size_t h = 1; h <= nc.code.d(); ++h) {
+        helpers.emplace_back(
+            static_cast<int>(h),
+            nc.code.helper_data(static_cast<int>(h), elems[h], target));
+      }
+      const double decode = measure_gbps(size, [&] {
+        benchmark::DoNotOptimize(nc.code.decode_value(coded));
+      });
+      const double repair = measure_gbps(size, [&] {
+        benchmark::DoNotOptimize(nc.code.repair_element(target, helpers));
+      });
+      const double helper = measure_gbps(size, [&] {
+        benchmark::DoNotOptimize(nc.code.helper_data(1, elems[1], target));
+      });
+      json.add(p, "decode_gbps", decode);
+      json.add(p, "repair_gbps", repair);
+      json.add(p, "helper_gbps", helper);
+      std::printf("%-32s decode %7.3f GB/s  repair %7.3f GB/s  "
+                  "helper %7.3f GB/s\n",
+                  p.c_str(), decode, repair, helper);
     }
   }
   engine.stop();

@@ -15,6 +15,16 @@
 //     responses arrive first).
 //  2. Repair is *exact*: the repaired element equals what encode() produces
 //     for that index.
+//
+// Selection rule.  decode() and repair() accept any list of entries and use
+// a well-defined subset of it: walking the list in order, an entry is
+// usable when its index is in [0, n), is not yet used, and (for repair) is
+// not target_index; decode takes the first k usable entries and repair the
+// first d.  StripedCode applies the same rule per value, where an entry must
+// also have the common length: that of the first in-range (non-target)
+// entry holding a whole, non-zero number of stripes.  Every implementation
+// is a fixed linear map of the entries it uses, so the result depends on
+// the chosen index *set*, not on the order of the list.
 #pragma once
 
 #include <cstdint>

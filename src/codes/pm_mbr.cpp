@@ -72,20 +72,6 @@ Bytes PmMbrCode::encode_one(std::span<const std::uint8_t> stripe,
   return Bytes(v.begin(), v.end());
 }
 
-const math::Matrix& PmMbrCode::cached_inverse(const std::vector<int>& rows,
-                                              bool phi_block) const {
-  const auto key = std::make_pair(rows, phi_block);
-  auto it = inverse_cache_.find(key);
-  if (it != inverse_cache_.end()) return it->second;
-  if (inverse_cache_.size() > 64) inverse_cache_.clear();
-  const math::Matrix sub = phi_block
-                               ? psi_.select_rows(rows).slice_cols(0, k_)
-                               : psi_.select_rows(rows);
-  auto inv = sub.inverse();
-  LDS_CHECK(inv.has_value(), "PmMbrCode: Vandermonde submatrix singular");
-  return inverse_cache_.emplace(key, std::move(*inv)).first->second;
-}
-
 std::optional<Bytes> PmMbrCode::decode(
     std::span<const IndexedBytes> elements) const {
   // First k distinct valid elements.
@@ -103,16 +89,17 @@ std::optional<Bytes> PmMbrCode::decode(
 
   const math::Matrix psi_dc = psi_.select_rows(idx);       // k x d
   const math::Matrix delta_dc = psi_dc.slice_cols(k_, d_ - k_);  // k x (d-k)
-  const math::Matrix& phi_inv = cached_inverse(idx, /*phi_block=*/true);
+  const auto phi_inv = psi_dc.slice_cols(0, k_).inverse();
+  LDS_CHECK(phi_inv.has_value(), "PmMbrCode: Vandermonde submatrix singular");
 
   // T from the trailing d-k columns: Y2 = Phi_DC T.
   const math::Matrix y2 = y.slice_cols(k_, d_ - k_);
-  const math::Matrix t = phi_inv.mul(y2);
+  const math::Matrix t = phi_inv->mul(y2);
 
   // S from the leading k columns: Y1 = Phi_DC S + Delta_DC T^t.
   const math::Matrix y1 = y.slice_cols(0, k_);
   const math::Matrix rhs = y1.add(delta_dc.mul(t.transpose()));
-  const math::Matrix s = phi_inv.mul(rhs);
+  const math::Matrix s = phi_inv->mul(rhs);
 
   return stripe_from_message(s, t);
 }
@@ -152,8 +139,10 @@ std::optional<Bytes> PmMbrCode::repair(
   if (idx.size() < d_) return std::nullopt;
 
   // Psi_rep (M psi_f) = h  =>  M psi_f; element_f = (M psi_f)^t by symmetry.
-  const math::Matrix& psi_rep_inv = cached_inverse(idx, /*phi_block=*/false);
-  auto x = psi_rep_inv.mul_vec(h);
+  const auto psi_rep_inv = psi_.select_rows(idx).inverse();
+  LDS_CHECK(psi_rep_inv.has_value(),
+            "PmMbrCode: Vandermonde submatrix singular");
+  auto x = psi_rep_inv->mul_vec(h);
   return Bytes(x.begin(), x.end());
 }
 

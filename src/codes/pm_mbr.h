@@ -28,7 +28,6 @@
 // S = Phi_DC^{-1} (.).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "codes/erasure_code.h"
@@ -68,18 +67,10 @@ class PmMbrCode final : public RegeneratingCode {
   Bytes stripe_from_message(const math::Matrix& s, const math::Matrix& t)
       const;
 
-  /// Memoized inverse of select_rows(psi or phi block): repair and decode
-  /// solve against the same submatrix for every stripe of a value, so the
-  /// Gauss-Jordan work is paid once per index set, not once per stripe.
-  const math::Matrix& cached_inverse(const std::vector<int>& rows,
-                                     bool phi_block) const;
-
   std::size_t n_;
   std::size_t k_;
   std::size_t d_;
   math::Matrix psi_;  // n x d Vandermonde
-  mutable std::map<std::pair<std::vector<int>, bool>, math::Matrix>
-      inverse_cache_;
 };
 
 }  // namespace lds::codes

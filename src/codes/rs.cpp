@@ -42,17 +42,10 @@ std::optional<Bytes> RsCode::decode(
     if (idx.size() == k_) break;
   }
   if (idx.size() < k_) return std::nullopt;
-  const auto x = cached_inverse(idx).mul_vec(rhs);
-  return Bytes(x.begin(), x.end());
-}
-
-const math::Matrix& RsCode::cached_inverse(const std::vector<int>& rows) const {
-  auto it = inverse_cache_.find(rows);
-  if (it != inverse_cache_.end()) return it->second;
-  if (inverse_cache_.size() > 64) inverse_cache_.clear();
-  auto inv = gen_.select_rows(rows).inverse();
+  const auto inv = gen_.select_rows(idx).inverse();
   LDS_CHECK(inv.has_value(), "RsCode: Vandermonde submatrix singular");
-  return inverse_cache_.emplace(rows, std::move(*inv)).first->second;
+  const auto x = inv->mul_vec(rhs);
+  return Bytes(x.begin(), x.end());
 }
 
 Bytes RsRegenerating::helper_data(int helper_index,
@@ -70,8 +63,18 @@ Bytes RsRegenerating::helper_data(int helper_index,
 
 std::optional<Bytes> RsRegenerating::repair(
     int target_index, std::span<const IndexedBytes> helpers) const {
-  if (helpers.size() < rs_.k()) return std::nullopt;
-  auto stripe = rs_.decode(helpers);
+  LDS_REQUIRE(target_index >= 0 &&
+                  static_cast<std::size_t>(target_index) < rs_.n(),
+              "RsRegenerating::repair: target index");
+  // A helper claiming the target's own index is skipped, as every other
+  // code does: its payload is the lost element the repair must not trust.
+  std::vector<IndexedBytes> others;
+  others.reserve(helpers.size());
+  for (const auto& h : helpers) {
+    if (h.first != target_index) others.push_back(h);
+  }
+  if (others.size() < rs_.k()) return std::nullopt;
+  auto stripe = rs_.decode(others);
   if (!stripe) return std::nullopt;
   return rs_.encode_one(*stripe, target_index);
 }

@@ -7,7 +7,6 @@
 // which is exactly the comparison point of Remark 1 (read cost Omega(n1)).
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "codes/erasure_code.h"
@@ -33,15 +32,9 @@ class RsCode final : public ErasureCode {
       std::span<const IndexedBytes> elements) const override;
 
  private:
-  /// Memoized inverse of the k x k generator submatrix for an index set;
-  /// decoding a striped value solves against the same submatrix for every
-  /// stripe, so the Gauss-Jordan work is paid once.
-  const math::Matrix& cached_inverse(const std::vector<int>& rows) const;
-
   std::size_t n_;
   std::size_t k_;
   math::Matrix gen_;  // n x k Vandermonde generator
-  mutable std::map<std::vector<int>, math::Matrix> inverse_cache_;
 };
 
 /// Adapter presenting RsCode as a RegeneratingCode with d = k and

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bitset>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/assert.h"
 #include "gf/gf256.h"
@@ -15,15 +17,28 @@ namespace lds::codes {
 namespace {
 constexpr std::size_t kHeader = 8;
 
-// Chunking for the planar encode: each chunk covers kChunkInputBytes of the
-// framed input, so the gathered planes plus one output plane stay cache
-// resident while the (n*alpha) x B map sweeps over them.
+// Each apply() chunk covers about kChunkInputBytes of input planes, so the
+// input slices stay cache resident while every output row sweeps them.
 constexpr std::size_t kChunkInputBytes = 16 * 1024;
+// Chunks are whole multiples of this many stripes, so only a plane's last
+// chunk leaves a tail for the SIMD kernels.
+constexpr std::size_t kChunkAlign = 64;
 // Smaller chunks for the lane fan-out so even the threshold-sized encode
 // splits into enough pieces to occupy several lanes.
 constexpr std::size_t kLaneChunkInputBytes = 8 * 1024;
 // Below this framed size the fan-out hop costs more than the arithmetic.
 constexpr std::size_t kMinLaneInputBytes = 48 * 1024;
+// Bound on the cached decode, repair and helper maps of one code (the
+// default geometry uses under a thousand).  A full cache is cleared.
+constexpr std::size_t kMaxCachedMaps = 4096;
+
+// First byte of a map's cache key: which operation it belongs to.
+constexpr char kDecodeKey = 'D';
+constexpr char kRepairKey = 'R';
+constexpr char kHelperKey = 'H';
+
+using InPlanes = std::vector<const std::uint8_t*>;
+using OutPlanes = std::vector<std::uint8_t*>;
 
 std::uint64_t read_len(const Bytes& framed) {
   std::uint64_t len = 0;
@@ -32,23 +47,193 @@ std::uint64_t read_len(const Bytes& framed) {
   }
   return len;
 }
+
+std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
+}
+
+/// The `count` consecutive m-byte planes starting at `base`.
+template <typename Byte>
+std::vector<Byte*> planes(Byte* base, std::size_t count, std::size_t m) {
+  std::vector<Byte*> out(count);
+  for (std::size_t p = 0; p < count; ++p) out[p] = base + p * m;
+  return out;
+}
+
+/// out[r] = sum_c coeff[r * in.size() + c] * in[c] over stripes [s0, s1) of
+/// every plane, in chunks of whole kChunkAlign stripes.  Pure compute; safe
+/// to run on disjoint stripe ranges of the same planes concurrently.
+void apply(const std::uint8_t* coeff, std::span<const std::uint8_t* const> in,
+           std::span<std::uint8_t* const> out, std::size_t s0,
+           std::size_t s1) {
+  if (s1 <= s0) return;
+  const std::size_t cols = in.size();
+  const std::size_t cap = std::max(kChunkAlign, kChunkInputBytes / cols);
+  const std::size_t pieces = (s1 - s0 + cap - 1) / cap;
+  const std::size_t chunk =
+      round_up((s1 - s0 + pieces - 1) / pieces, kChunkAlign);
+  for (std::size_t c0 = s0; c0 < s1; c0 += chunk) {
+    const std::size_t len = std::min(chunk, s1 - c0);
+    for (std::size_t r = 0; r < out.size(); ++r) {
+      const std::uint8_t* row = coeff + r * cols;
+      const std::span<std::uint8_t> dst(out[r] + c0, len);
+      // The first nonzero term is a mul_into, so dst needs no zero fill.
+      bool first = true;
+      for (std::size_t c = 0; c < cols; ++c) {
+        if (row[c] == 0) continue;
+        const std::span<const std::uint8_t> src(in[c] + c0, len);
+        if (first) {
+          gf::mul_into(dst, row[c], src);
+        } else {
+          gf::axpy(dst, row[c], src);
+        }
+        first = false;
+      }
+      if (first) std::memset(dst.data(), 0, len);
+    }
+  }
+}
+
+/// The out x in coefficient matrix of a per-stripe map, read off its action
+/// on the basis stripes, then checked on the zero stripe and a dense one.
+/// Every wrapped code is linear, so a mismatch means a broken code.
+template <typename StripeFn>
+Bytes probe(std::size_t in, std::size_t out, const StripeFn& stripe_fn) {
+  Bytes x(in, 0);
+  const auto run = [&] {
+    Bytes y = stripe_fn(std::span<const std::uint8_t>(x));
+    LDS_CHECK(y.size() == out, "StripedCode: probed stripe size");
+    return y;
+  };
+  const Bytes zero = run();
+  LDS_CHECK(std::all_of(zero.begin(), zero.end(),
+                        [](std::uint8_t v) { return v == 0; }),
+            "StripedCode: wrapped code maps zero to nonzero");
+
+  Bytes coeff(out * in);
+  for (std::size_t c = 0; c < in; ++c) {
+    x[c] = 1;
+    const Bytes y = run();
+    x[c] = 0;
+    for (std::size_t r = 0; r < out; ++r) coeff[r * in + c] = y[r];
+  }
+
+  for (std::size_t c = 0; c < in; ++c) {
+    x[c] = static_cast<std::uint8_t>((c * 37 + 11) & 0xff);
+    if (x[c] == 0) x[c] = 1;
+  }
+  const Bytes y = run();
+  for (std::size_t r = 0; r < out; ++r) {
+    LDS_CHECK(gf::dot({coeff.data() + r * in, in}, x) == y[r],
+              "StripedCode: wrapped code is not a fixed linear map");
+  }
+  return coeff;
+}
+
+/// The selection rule of erasure_code.h: the first `want` entries whose
+/// index is in [0, n), differs from `skip` and is not yet chosen, and whose
+/// payload has the common length - that of the first such entry holding a
+/// whole, non-zero number of `unit`-symbol stripes.  Sorted by index; empty
+/// when fewer than `want` qualify.
+std::vector<const IndexedBytes*> select(std::span<const IndexedBytes> entries,
+                                        std::size_t n, std::size_t want,
+                                        std::size_t unit, int skip) {
+  std::vector<const IndexedBytes*> chosen;
+  chosen.reserve(want);
+  std::bitset<256> seen;
+  std::size_t len = 0;
+  for (const auto& e : entries) {
+    const int i = e.first;
+    if (i < 0 || static_cast<std::size_t>(i) >= n || i == skip) continue;
+    const std::size_t size = e.second.size();
+    if (len == 0 && size != 0 && size % unit == 0) len = size;
+    if (len == 0 || size != len || seen.test(static_cast<std::size_t>(i))) {
+      continue;
+    }
+    seen.set(static_cast<std::size_t>(i));
+    chosen.push_back(&e);
+    if (chosen.size() == want) break;
+  }
+  if (chosen.size() < want) return {};
+  std::sort(chosen.begin(), chosen.end(),
+            [](const IndexedBytes* a, const IndexedBytes* b) {
+              return a->first < b->first;
+            });
+  return chosen;
+}
+
+/// Cache key of a keyed map: operation, target and the sorted index set, one
+/// byte each (n <= 255).
+std::string map_key(char op, int target,
+                    const std::vector<const IndexedBytes*>& chosen) {
+  std::string key{op, static_cast<char>(target)};
+  for (const IndexedBytes* e : chosen) key += static_cast<char>(e->first);
+  return key;
+}
+
+/// One stripe's worth of the chosen entries: entry p gets symbols
+/// [p * unit, (p + 1) * unit) of `x`, in chosen (sorted) order.
+std::vector<IndexedBytes> stripe_entries(
+    const std::vector<const IndexedBytes*>& chosen,
+    std::span<const std::uint8_t> x, std::size_t unit) {
+  std::vector<IndexedBytes> out;
+  out.reserve(chosen.size());
+  for (std::size_t p = 0; p < chosen.size(); ++p) {
+    const auto from = x.begin() + static_cast<long>(p * unit);
+    out.emplace_back(chosen[p]->first,
+                     Bytes(from, from + static_cast<long>(unit)));
+  }
+  return out;
+}
+
+/// Input planes of the chosen entries, `per` planes of m bytes each.
+InPlanes entry_planes(const std::vector<const IndexedBytes*>& chosen,
+                      std::size_t per, std::size_t m) {
+  InPlanes in;
+  in.reserve(chosen.size() * per);
+  for (const IndexedBytes* e : chosen) {
+    for (std::size_t p = 0; p < per; ++p) {
+      in.push_back(e->second.data() + p * m);
+    }
+  }
+  return in;
+}
+
+/// Output planes of all n elements, row i * alpha + t = element i, plane t.
+OutPlanes element_planes(std::vector<Bytes>& elems, std::size_t alpha,
+                         std::size_t m) {
+  OutPlanes out;
+  out.reserve(elems.size() * alpha);
+  for (Bytes& e : elems) {
+    for (std::size_t t = 0; t < alpha; ++t) out.push_back(e.data() + t * m);
+  }
+  return out;
+}
 }  // namespace
 
+struct StripedCode::Maps {
+  std::once_flag encode_once;
+  Bytes encode;
+  /// Guards `keyed`; probes run under it, so each map is probed once.
+  std::mutex mu;
+  std::unordered_map<std::string, std::shared_ptr<const Bytes>> keyed;
+};
+
 StripedCode::StripedCode(std::shared_ptr<const RegeneratingCode> code)
-    : code_(std::move(code)), planar_(std::make_shared<PlanarMap>()) {
+    : code_(std::move(code)), maps_(std::make_shared<Maps>()) {
   LDS_REQUIRE(code_ != nullptr, "StripedCode: null code");
+  LDS_REQUIRE(code_->n() <= 255, "StripedCode: need n <= 255");
 }
 
 Bytes StripedCode::frame(const Bytes& value) const {
-  const std::size_t b = code_->file_size();
-  Bytes framed(kHeader);
+  Bytes framed(stripes(value.size()) * code_->file_size(), 0);
   const std::uint64_t len = value.size();
   for (std::size_t i = 0; i < kHeader; ++i) {
     framed[i] = static_cast<std::uint8_t>((len >> (8 * i)) & 0xff);
   }
-  framed.insert(framed.end(), value.begin(), value.end());
-  const std::size_t rem = framed.size() % b;
-  if (rem != 0) framed.resize(framed.size() + (b - rem), 0);
+  if (!value.empty()) {
+    std::memcpy(framed.data() + kHeader, value.data(), value.size());
+  }
   return framed;
 }
 
@@ -65,128 +250,72 @@ std::size_t StripedCode::helper_size(std::size_t value_size) const {
   return stripes(value_size) * code_->beta();
 }
 
-const StripedCode::PlanarMap* StripedCode::planar_map() const {
-  PlanarMap& m = *planar_;
-  std::call_once(m.once, [&] {
-    const std::size_t b = code_->file_size();
-    const std::size_t a = code_->alpha();
+const Bytes& StripedCode::encode_map() const {
+  Maps& maps = *maps_;
+  std::call_once(maps.encode_once, [&] {
     const std::size_t n = code_->n();
-
-    // encode(0) must be 0 for a linear map; a code with a constant offset
-    // would make the basis probe meaningless.
-    Bytes stripe(b, 0);
-    auto zero = code_->encode(stripe);
-    for (const auto& e : zero) {
-      for (std::uint8_t v : e) {
-        if (v != 0) return;  // not linear: keep the stripewise path
-      }
-    }
-
-    // Probe the code with each basis stripe e_j; column j of the map is the
-    // resulting coded symbols.
-    std::vector<Bytes> rows(n * a, Bytes(b, 0));
-    for (std::size_t j = 0; j < b; ++j) {
-      stripe[j] = 1;
-      auto elems = code_->encode(stripe);
-      stripe[j] = 0;
-      LDS_CHECK(elems.size() == n, "StripedCode: encode element count");
-      for (std::size_t i = 0; i < n; ++i) {
-        LDS_CHECK(elems[i].size() == a, "StripedCode: element stripe size");
-        for (std::size_t t = 0; t < a; ++t) {
-          rows[i * a + t][j] = elems[i][t];
-        }
-      }
-    }
-
-    // Self-check on a dense non-basis stripe: if the code were affine in some
-    // hidden way (or randomized), the map reproduction would not match and we
-    // keep the reference path.
-    for (std::size_t j = 0; j < b; ++j) {
-      stripe[j] = static_cast<std::uint8_t>((j * 37 + 11) & 0xff);
-      if (stripe[j] == 0) stripe[j] = 1;
-    }
-    auto probe = code_->encode(stripe);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t t = 0; t < a; ++t) {
-        if (gf::dot(rows[i * a + t], stripe) != probe[i][t]) return;
-      }
-    }
-
-    m.rows = std::move(rows);
-    m.ok = true;
+    const std::size_t a = code_->alpha();
+    maps.encode = probe(code_->file_size(), n * a,
+                        [&](std::span<const std::uint8_t> stripe) {
+                          const auto elems = code_->encode(stripe);
+                          LDS_CHECK(elems.size() == n,
+                                    "StripedCode: encode element count");
+                          Bytes y;
+                          y.reserve(n * a);
+                          for (const Bytes& e : elems) {
+                            y.insert(y.end(), e.begin(), e.end());
+                          }
+                          return y;
+                        });
   });
-  return m.ok ? &m : nullptr;
+  return maps.encode;
 }
 
-void StripedCode::encode_stripe_range(const PlanarMap& map,
-                                      const std::uint8_t* framed,
-                                      std::size_t s0, std::size_t s1,
-                                      std::size_t row0, std::size_t row1,
-                                      std::span<Bytes> out) const {
-  const std::size_t b = code_->file_size();
-  const std::size_t a = code_->alpha();
-  const std::size_t mm = s1 - s0;
-  if (mm == 0) return;
-
-  // Gather input planes: plane j = symbol j of every stripe in the range,
-  // contiguous so the map sweep below runs long SIMD kernels over it.
-  Bytes planes(b * mm);
-  for (std::size_t s = 0; s < mm; ++s) {
-    const std::uint8_t* src = framed + (s0 + s) * b;
-    for (std::size_t j = 0; j < b; ++j) planes[j * mm + s] = src[j];
-  }
-
-  Bytes q(mm);
-  for (std::size_t r = row0; r < row1; ++r) {
-    const Bytes& coeff = map.rows[r];
-    // q = sum_j coeff[j] * plane_j, with the first nonzero term a mul_into so
-    // q needs no zero-fill pass.
-    bool first = true;
-    for (std::size_t j = 0; j < b; ++j) {
-      if (coeff[j] == 0) continue;
-      if (first) {
-        gf::mul_into(q, coeff[j], {planes.data() + j * mm, mm});
-        first = false;
-      } else {
-        gf::axpy(q, coeff[j], {planes.data() + j * mm, mm});
-      }
-    }
-    if (first) std::memset(q.data(), 0, mm);
-
-    // Scatter plane r back into the stripe-major element layout.
-    const std::size_t i = r / a;
-    const std::size_t t = r % a;
-    std::uint8_t* dst = out[i].data() + s0 * a + t;
-    for (std::size_t s = 0; s < mm; ++s) dst[s * a] = q[s];
-  }
+template <typename StripeFn>
+std::shared_ptr<const Bytes> StripedCode::map_for(
+    const std::string& key, std::size_t in, std::size_t out,
+    const StripeFn& stripe_fn) const {
+  std::lock_guard<std::mutex> lk(maps_->mu);
+  auto& keyed = maps_->keyed;
+  if (auto it = keyed.find(key); it != keyed.end()) return it->second;
+  if (keyed.size() >= kMaxCachedMaps) keyed.clear();
+  auto map = std::make_shared<const Bytes>(probe(in, out, stripe_fn));
+  keyed.emplace(key, map);
+  return map;
 }
 
-std::vector<Bytes> StripedCode::encode_value_planar(const PlanarMap& map,
-                                                    const Bytes& framed) const {
+std::vector<Bytes> StripedCode::encode_value(const Bytes& value) const {
+  return encode_value(value, nullptr);
+}
+
+std::vector<Bytes> StripedCode::encode_value(const Bytes& value,
+                                             net::Engine* engine) const {
+  const Bytes framed = frame(value);
+  if (engine != nullptr && engine->lanes() > 1 &&
+      framed.size() >= kMinLaneInputBytes) {
+    return encode_value_lanes(framed, *engine);
+  }
   const std::size_t b = code_->file_size();
   const std::size_t a = code_->alpha();
   const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(code_->n());
-  for (auto& e : out) e.resize(m * a);
-
-  const std::size_t chunk = std::max<std::size_t>(1, kChunkInputBytes / b);
-  for (std::size_t s0 = 0; s0 < m; s0 += chunk) {
-    const std::size_t s1 = std::min(m, s0 + chunk);
-    encode_stripe_range(map, framed.data(), s0, s1, 0, map.rows.size(), out);
-  }
+  std::vector<Bytes> out(code_->n(), Bytes(m * a));
+  apply(encode_map().data(), planes(framed.data(), b, m),
+        element_planes(out, a, m), 0, m);
   return out;
 }
 
-std::vector<Bytes> StripedCode::encode_value_lanes(const PlanarMap& map,
-                                                   const Bytes& framed,
+std::vector<Bytes> StripedCode::encode_value_lanes(const Bytes& framed,
                                                    net::Engine& engine) const {
   const std::size_t b = code_->file_size();
   const std::size_t a = code_->alpha();
   const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(code_->n());
-  for (auto& e : out) e.resize(m * a);
+  std::vector<Bytes> out(code_->n(), Bytes(m * a));
+  const Bytes& map = encode_map();
+  const InPlanes in = planes(framed.data(), b, m);
+  const OutPlanes outp = element_planes(out, a, m);
 
-  const std::size_t chunk = std::max<std::size_t>(1, kLaneChunkInputBytes / b);
+  const std::size_t chunk = std::max(
+      kChunkAlign, kLaneChunkInputBytes / b / kChunkAlign * kChunkAlign);
   const std::size_t total = (m + chunk - 1) / chunk;
 
   // Work-helping fan-out: chunks sit behind an atomic claim counter; helper
@@ -201,20 +330,16 @@ std::vector<Bytes> StripedCode::encode_value_lanes(const PlanarMap& map,
     std::condition_variable cv;
   };
   auto job = std::make_shared<Job>();
-  // Keep the map alive independently of *this: a helper can still be between
-  // its last chunk and its return after the caller has moved on.
-  auto hold_map = planar_;
+  // Keep the maps alive independently of *this: a helper can still be
+  // between its last chunk and its return after the caller has moved on.
+  auto hold_maps = maps_;
 
-  const std::size_t rows = map.rows.size();
-  auto run_chunks = [this, job, hold_map, &map, &framed, &out, m, chunk, rows,
-                     total] {
+  auto run_chunks = [job, hold_maps, &map, &in, &outp, m, chunk, total] {
     for (;;) {
-      const std::size_t c =
-          job->next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t c = job->next.fetch_add(1, std::memory_order_relaxed);
       if (c >= total) break;
       const std::size_t s0 = c * chunk;
-      const std::size_t s1 = std::min(m, s0 + chunk);
-      encode_stripe_range(map, framed.data(), s0, s1, 0, rows, out);
+      apply(map.data(), in, outp, s0, std::min(m, s0 + chunk));
       if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
         std::lock_guard<std::mutex> lk(job->mu);
         job->cv.notify_all();
@@ -239,146 +364,113 @@ std::vector<Bytes> StripedCode::encode_value_lanes(const PlanarMap& map,
   return out;
 }
 
-std::vector<Bytes> StripedCode::encode_value(const Bytes& value) const {
-  const PlanarMap* map = planar_map();
-  if (map == nullptr) return encode_value_stripewise(value);
-  return encode_value_planar(*map, frame(value));
-}
-
-std::vector<Bytes> StripedCode::encode_value(const Bytes& value,
-                                             net::Engine* engine) const {
-  const PlanarMap* map = planar_map();
-  if (map == nullptr) return encode_value_stripewise(value);
-  Bytes framed = frame(value);
-  if (engine == nullptr || engine->lanes() <= 1 ||
-      framed.size() < kMinLaneInputBytes) {
-    return encode_value_planar(*map, framed);
-  }
-  return encode_value_lanes(*map, framed, *engine);
-}
-
 std::vector<Bytes> StripedCode::encode_value_stripewise(
     const Bytes& value) const {
   const Bytes framed = frame(value);
   const std::size_t b = code_->file_size();
-  const std::size_t m = framed.size() / b;
   const std::size_t a = code_->alpha();
-  std::vector<Bytes> out(code_->n());
-  for (auto& e : out) e.resize(m * a);
+  const std::size_t m = framed.size() / b;
+  std::vector<Bytes> out(code_->n(), Bytes(m * a));
+  Bytes stripe(b);
   for (std::size_t s = 0; s < m; ++s) {
-    auto elems = code_->encode({framed.data() + s * b, b});
+    for (std::size_t j = 0; j < b; ++j) stripe[j] = framed[j * m + s];
+    const auto elems = code_->encode(stripe);
+    LDS_CHECK(elems.size() == out.size(), "StripedCode: encode element count");
     for (std::size_t i = 0; i < elems.size(); ++i) {
       LDS_CHECK(elems[i].size() == a, "StripedCode: element stripe size");
-      std::memcpy(out[i].data() + s * a, elems[i].data(), a);
+      for (std::size_t t = 0; t < a; ++t) out[i][t * m + s] = elems[i][t];
     }
   }
   return out;
 }
 
 Bytes StripedCode::encode_element(const Bytes& value, int index) const {
+  LDS_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < n(),
+              "StripedCode::encode_element: index out of range");
   const std::size_t b = code_->file_size();
   const std::size_t a = code_->alpha();
-  const PlanarMap* map = planar_map();
-  if (map != nullptr) {
-    const Bytes framed = frame(value);
-    const std::size_t m = framed.size() / b;
-    // Reuse the planar sweep restricted to this element's alpha rows; `out`
-    // only needs slot `index` populated.
-    std::vector<Bytes> out(code_->n());
-    out[static_cast<std::size_t>(index)].resize(m * a);
-    const std::size_t row0 = static_cast<std::size_t>(index) * a;
-    const std::size_t chunk = std::max<std::size_t>(1, kChunkInputBytes / b);
-    for (std::size_t s0 = 0; s0 < m; s0 += chunk) {
-      const std::size_t s1 = std::min(m, s0 + chunk);
-      encode_stripe_range(*map, framed.data(), s0, s1, row0, row0 + a, out);
-    }
-    return std::move(out[static_cast<std::size_t>(index)]);
-  }
-
   const Bytes framed = frame(value);
   const std::size_t m = framed.size() / b;
   Bytes out(m * a);
-  for (std::size_t s = 0; s < m; ++s) {
-    const Bytes e = code_->encode_one({framed.data() + s * b, b}, index);
-    LDS_CHECK(e.size() == a, "StripedCode: element stripe size");
-    std::memcpy(out.data() + s * a, e.data(), a);
-  }
+  // The element's alpha rows of the encode map.
+  const std::uint8_t* rows =
+      encode_map().data() + static_cast<std::size_t>(index) * a * b;
+  apply(rows, planes(framed.data(), b, m), planes(out.data(), a, m), 0, m);
   return out;
 }
 
 std::optional<Bytes> StripedCode::decode_value(
     std::span<const IndexedBytes> elements) const {
-  if (elements.empty()) return std::nullopt;
   const std::size_t a = code_->alpha();
-  const std::size_t elem_len = elements.front().second.size();
-  if (elem_len == 0 || elem_len % a != 0) return std::nullopt;
-  const std::size_t m = elem_len / a;
   const std::size_t b = code_->file_size();
+  const std::size_t k = code_->k();
+  const auto chosen = select(elements, n(), k, a, /*skip=*/-1);
+  if (chosen.empty()) return std::nullopt;
+  const std::size_t m = chosen.front()->second.size() / a;
 
+  const auto map = map_for(
+      map_key(kDecodeKey, 0, chosen), k * a, b,
+      [&](std::span<const std::uint8_t> x) {
+        auto stripe = code_->decode(stripe_entries(chosen, x, a));
+        LDS_CHECK(stripe.has_value(), "StripedCode: decode of k elements");
+        return std::move(*stripe);
+      });
   Bytes framed(m * b);
-  std::vector<IndexedBytes> per_stripe;
-  for (std::size_t s = 0; s < m; ++s) {
-    per_stripe.clear();
-    for (const auto& [i, payload] : elements) {
-      if (payload.size() != elem_len) continue;  // inconsistent stripe count
-      per_stripe.emplace_back(
-          i, Bytes(payload.begin() + static_cast<long>(s * a),
-                   payload.begin() + static_cast<long>((s + 1) * a)));
-    }
-    auto stripe = code_->decode(per_stripe);
-    if (!stripe) return std::nullopt;
-    LDS_CHECK(stripe->size() == b, "StripedCode: decoded stripe size");
-    std::memcpy(framed.data() + s * b, stripe->data(), b);
-  }
+  apply(map->data(), entry_planes(chosen, a, m), planes(framed.data(), b, m),
+        0, m);
 
   if (framed.size() < kHeader) return std::nullopt;
   const std::uint64_t len = read_len(framed);
   if (len > framed.size() - kHeader) return std::nullopt;
-  return Bytes(framed.begin() + kHeader,
-               framed.begin() + kHeader + static_cast<long>(len));
+  framed.erase(framed.begin(), framed.begin() + kHeader);
+  framed.resize(len);
+  return framed;
 }
 
 Bytes StripedCode::helper_data(int helper_index, const Bytes& element,
                                int target_index) const {
   const std::size_t a = code_->alpha();
+  const std::size_t be = code_->beta();
+  LDS_REQUIRE(helper_index >= 0 && static_cast<std::size_t>(helper_index) < n(),
+              "StripedCode::helper_data: helper index out of range");
+  LDS_REQUIRE(target_index >= 0 && static_cast<std::size_t>(target_index) < n(),
+              "StripedCode::helper_data: target index out of range");
   LDS_REQUIRE(!element.empty() && element.size() % a == 0,
               "StripedCode::helper_data: bad element length");
   const std::size_t m = element.size() / a;
-  const std::size_t be = code_->beta();
+
+  const std::string key{kHelperKey, static_cast<char>(helper_index),
+                        static_cast<char>(target_index)};
+  const auto map = map_for(key, a, be, [&](std::span<const std::uint8_t> x) {
+    return code_->helper_data(helper_index, x, target_index);
+  });
   Bytes out(m * be);
-  for (std::size_t s = 0; s < m; ++s) {
-    const Bytes h = code_->helper_data(
-        helper_index, {element.data() + s * a, a}, target_index);
-    LDS_CHECK(h.size() == be, "StripedCode: helper stripe size");
-    std::memcpy(out.data() + s * be, h.data(), be);
-  }
+  apply(map->data(), planes(element.data(), a, m), planes(out.data(), be, m),
+        0, m);
   return out;
 }
 
 std::optional<Bytes> StripedCode::repair_element(
     int target_index, std::span<const IndexedBytes> helpers) const {
-  if (helpers.empty()) return std::nullopt;
-  const std::size_t be = code_->beta();
-  const std::size_t h_len = helpers.front().second.size();
-  if (h_len == 0 || h_len % be != 0) return std::nullopt;
-  const std::size_t m = h_len / be;
+  LDS_REQUIRE(target_index >= 0 && static_cast<std::size_t>(target_index) < n(),
+              "StripedCode::repair_element: target index out of range");
   const std::size_t a = code_->alpha();
+  const std::size_t be = code_->beta();
+  const std::size_t d = code_->d();
+  const auto chosen = select(helpers, n(), d, be, target_index);
+  if (chosen.empty()) return std::nullopt;
+  const std::size_t m = chosen.front()->second.size() / be;
 
+  const auto map = map_for(
+      map_key(kRepairKey, target_index, chosen), d * be, a,
+      [&](std::span<const std::uint8_t> x) {
+        auto elem = code_->repair(target_index, stripe_entries(chosen, x, be));
+        LDS_CHECK(elem.has_value(), "StripedCode: repair from d helpers");
+        return std::move(*elem);
+      });
   Bytes out(m * a);
-  std::vector<IndexedBytes> per_stripe;
-  for (std::size_t s = 0; s < m; ++s) {
-    per_stripe.clear();
-    for (const auto& [i, payload] : helpers) {
-      if (payload.size() != h_len) continue;
-      per_stripe.emplace_back(
-          i, Bytes(payload.begin() + static_cast<long>(s * be),
-                   payload.begin() + static_cast<long>((s + 1) * be)));
-    }
-    auto elem = code_->repair(target_index, per_stripe);
-    if (!elem) return std::nullopt;
-    LDS_CHECK(elem->size() == a, "StripedCode: repaired stripe size");
-    std::memcpy(out.data() + s * a, elem->data(), a);
-  }
+  apply(map->data(), entry_planes(chosen, be, m), planes(out.data(), a, m), 0,
+        m);
   return out;
 }
 

@@ -3,22 +3,30 @@
 // The paper treats the object value v as a single file of B symbols; real
 // values are arbitrary byte strings, so we prepend an 8-byte little-endian
 // length header, zero-pad to a multiple of B, and run the code independently
-// per stripe.  A node's coded element for a value is the concatenation of its
-// per-stripe elements (stripe-major), and likewise for helper data; all sizes
-// are therefore value-size * alpha/B and value-size * beta/B up to padding,
-// matching the normalized cost accounting of Section II-d.
+// on each of the m = framed-size / B stripes.  All sizes are therefore
+// value-size * alpha/B (elements) and value-size * beta/B (helper data) up to
+// padding, matching the normalized cost accounting of Section II-d.
 //
-// Encode hot path.  Every wrapped code is a fixed linear map per stripe
-// (element i, symbol t  =  <E[i*alpha+t], stripe>), so encode_value does NOT
-// loop stripe-by-stripe through tiny dot products.  Instead it probes the
-// code once with the B basis stripes to recover the (n*alpha) x B encode map
-// E, then processes stripes in cache-sized chunks in *plane-major* form:
-// gather input plane j (symbol j of every stripe in the chunk, contiguous),
-// accumulate output planes with long gf::mul_into / gf::axpy calls (the
-// runtime-dispatched SIMD kernels), and scatter back to the stripe-major
-// element layout.  The probe is validated against the wrapped code on a test
-// stripe at build time; a code that is not a fixed linear map (none today)
-// silently keeps the reference stripe-by-stripe path.
+// Plane-major layout.  Every byte string here is a stack of m-byte *planes*:
+// plane t holds symbol t of every stripe, contiguously.  The framed value is
+// B planes (stripe s is the bytes at s, m + s, 2m + s, ...), a coded element
+// is alpha planes and helper data is beta planes.  So symbol t of stripe s of
+// an element is byte t * m + s, and no operation ever gathers or scatters.
+//
+// One mechanism for every operation.  Each wrapped code is a fixed linear
+// map per stripe, and so is each of its operations once the participating
+// indices are fixed: encode (B -> n*alpha symbols), decode from a set of k
+// elements (k*alpha -> B), helper data from element h toward target f
+// (alpha -> beta) and repair of f from a set of d helpers (d*beta -> alpha).
+// StripedCode probes each such map once from the wrapped code with basis
+// stripes, self-checks it on a dense stripe (a mismatch is an LDS_CHECK
+// failure: there is no second, stripe-by-stripe path), caches it, and then
+// applies it to whole planes: output plane r = sum_c map[r][c] * input plane
+// c, as long gf::mul_into / gf::axpy sweeps (the runtime-dispatched SIMD
+// kernels) over cache-sized stripe chunks.  The encode map is probed once per
+// code; decode, repair and helper maps are cached per sorted index set (see
+// the selection rule in erasure_code.h), in a bounded cache that every copy
+// of a StripedCode shares and that is safe to use from several threads.
 //
 // Large encodes additionally fan out across the lanes of a net::Engine
 // (encode_value(value, engine)): stripe chunks go into a shared claim
@@ -31,7 +39,7 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
+#include <string>
 
 #include "codes/erasure_code.h"
 
@@ -43,6 +51,7 @@ namespace lds::codes {
 
 class StripedCode {
  public:
+  /// Requires a non-null code with n() <= 255.
   explicit StripedCode(std::shared_ptr<const RegeneratingCode> code);
 
   const RegeneratingCode& code() const { return *code_; }
@@ -58,8 +67,7 @@ class StripedCode {
   /// Bytes of helper data per helper for a value of `value_size` bytes.
   std::size_t helper_size(std::size_t value_size) const;
 
-  /// Encode a full value into all n elements (planar SIMD path when the
-  /// wrapped code is linear, reference path otherwise).
+  /// Encode a full value into all n elements.
   std::vector<Bytes> encode_value(const Bytes& value) const;
 
   /// Encode a full value, fanning stripe chunks out across `engine`'s lanes
@@ -70,16 +78,17 @@ class StripedCode {
   std::vector<Bytes> encode_value(const Bytes& value,
                                   net::Engine* engine) const;
 
-  /// Reference stripe-by-stripe encode through the wrapped code.  Kept
-  /// callable for the equivalence tests and as the baseline leg of
-  /// bench_codes_micro; encode_value must match it byte for byte.
+  /// Reference stripe-by-stripe encode through the wrapped code, into the
+  /// same plane-major layout.  Kept callable for the equivalence tests and
+  /// as the baseline leg of bench_codes_micro; encode_value must match it
+  /// byte for byte.
   std::vector<Bytes> encode_value_stripewise(const Bytes& value) const;
 
   /// Encode only element `index`.
   Bytes encode_element(const Bytes& value, int index) const;
 
-  /// Decode the original value from >= k elements with distinct indices.
-  /// All elements must have equal length (same stripe count).
+  /// Decode the original value from the first k usable elements (the
+  /// selection rule of erasure_code.h); nullopt when fewer than k qualify.
   std::optional<Bytes> decode_value(
       std::span<const IndexedBytes> elements) const;
 
@@ -87,43 +96,33 @@ class StripedCode {
   Bytes helper_data(int helper_index, const Bytes& element,
                     int target_index) const;
 
-  /// Repair a full element from exactly d helper payloads.
+  /// Repair element `target_index` from the first d usable helper payloads
+  /// (the selection rule of erasure_code.h); nullopt when fewer than d
+  /// qualify.
   std::optional<Bytes> repair_element(
       int target_index, std::span<const IndexedBytes> helpers) const;
 
  private:
-  /// Per-stripe encode map E and its validity (see file comment).  Shared
-  /// across copies of this StripedCode (the map is a pure function of the
-  /// wrapped code, which is shared too) and built once, thread-safely.
-  struct PlanarMap {
-    std::once_flag once;
-    bool ok = false;
-    std::vector<Bytes> rows;  ///< (n * alpha) rows of B coefficients
-  };
+  /// Probed maps, shared by every copy of this StripedCode (striped.cpp).
+  struct Maps;
 
   Bytes frame(const Bytes& value) const;  // header + pad to stripe multiple
 
-  /// The probed encode map, or null when the wrapped code failed the
-  /// linearity self-check (=> stripe-by-stripe fallback).
-  const PlanarMap* planar_map() const;
+  /// The (n*alpha) x B encode map, row i*alpha + t = element i, symbol t.
+  const Bytes& encode_map() const;
 
-  /// Encode stripes [s0, s1) of `framed` into the matching slices of `out`
-  /// through the planar map (rows `row0 <= i*alpha+t < row1` only, so
-  /// encode_element can reuse it).  Pure compute; thread-safe for disjoint
-  /// stripe ranges.
-  void encode_stripe_range(const PlanarMap& map, const std::uint8_t* framed,
-                           std::size_t s0, std::size_t s1, std::size_t row0,
-                           std::size_t row1,
-                           std::span<Bytes> out) const;
+  /// The cached map for `key`, probed on first use from `stripe_fn` (one
+  /// stripe of `in` symbols -> `out` symbols through the wrapped code).
+  template <typename StripeFn>
+  std::shared_ptr<const Bytes> map_for(const std::string& key, std::size_t in,
+                                       std::size_t out,
+                                       const StripeFn& stripe_fn) const;
 
-  std::vector<Bytes> encode_value_planar(const PlanarMap& map,
-                                         const Bytes& framed) const;
-  std::vector<Bytes> encode_value_lanes(const PlanarMap& map,
-                                        const Bytes& framed,
+  std::vector<Bytes> encode_value_lanes(const Bytes& framed,
                                         net::Engine& engine) const;
 
   std::shared_ptr<const RegeneratingCode> code_;
-  mutable std::shared_ptr<PlanarMap> planar_;
+  std::shared_ptr<Maps> maps_;
 };
 
 }  // namespace lds::codes

@@ -65,9 +65,10 @@ LdsCluster::LdsCluster(Options opt)
   if (durable) {
     ctx_->durable_acks = true;
     // Fail fast on a data_dir written by a different deployment: recovered
-    // coded elements are meaningless under another geometry or code.
+    // coded elements are meaningless under another geometry or code, or
+    // under another element layout (v2: plane-major StripedCode elements).
     storage::Manifest mf;
-    mf.set("format", "lds-cluster-v1");
+    mf.set("format", "lds-cluster-v2");
     mf.set("n1", static_cast<std::uint64_t>(opt_.cfg.n1));
     mf.set("f1", static_cast<std::uint64_t>(opt_.cfg.f1));
     mf.set("n2", static_cast<std::uint64_t>(opt_.cfg.n2));

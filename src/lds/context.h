@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "codes/striped.h"
+#include "common/slice.h"
 #include "common/types.h"
 #include "lds/config.h"
 #include "lds/history.h"
@@ -64,15 +65,17 @@ struct LdsContext {
   std::size_t regen_wait() const { return cfg.l2_quorum(); }
 
   /// Coded element of the initial value v0 at one code coordinate
-  /// (memoized: every L2 server starts from the same encoding of v0).
-  const Bytes& initial_element(int code_index) const;
+  /// (memoized: every L2 server shares the same encoding of v0).
+  const Value& initial_element(int code_index) const;
 
   /// All n coded elements of `value` under (obj, t), memoized.  Encoding is
   /// a pure function of the value, and tags are unique per write, so every
   /// L1 server offloading the same committed write computes identical
   /// elements; the cache removes the redundant O(n1) re-encodings from
-  /// simulation wall-clock time without changing any accounted cost.
-  const std::vector<Bytes>& encoded_elements(ObjectId obj, Tag t,
+  /// simulation wall-clock time without changing any accounted cost.  Each
+  /// element is a shared handle, so the offload messages and the L2 state
+  /// that take it copy no bytes.
+  const std::vector<Value>& encoded_elements(ObjectId obj, Tag t,
                                              const Bytes& value) const;
 
  private:
@@ -86,8 +89,8 @@ struct LdsContext {
       return TagHash()(k.tag) ^ (static_cast<std::size_t>(k.obj) * 0x9e3779b9u);
     }
   };
-  mutable std::vector<Bytes> initial_elements_;  // lazily filled, size n
-  mutable std::unordered_map<CacheKey, std::vector<Bytes>, CacheKeyHash>
+  mutable std::vector<Value> initial_elements_;  // lazily filled, size n
+  mutable std::unordered_map<CacheKey, std::vector<Value>, CacheKeyHash>
       encode_cache_;
 };
 

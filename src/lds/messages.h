@@ -101,10 +101,12 @@ struct CommitTag {
 
 // ---- L1 <-> L2 (internal operations) ----------------------------------------
 
-/// write-to-L2 (Fig. 2 line 20): WRITE-CODE-ELEM (t, c_{n1+i}).
+/// write-to-L2 (Fig. 2 line 20): WRITE-CODE-ELEM (t, c_{n1+i}).  The
+/// element is a shared handle: the encode cache, this message and the L2
+/// server's stored state reference ONE buffer per coordinate.
 struct WriteCodeElem {
   Tag tag;
-  Bytes element;
+  Value element;
 };
 
 /// ACK-CODE-ELEM (Fig. 3 line 6).

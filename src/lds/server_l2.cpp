@@ -57,7 +57,7 @@ const ServerL2::ObjectState& ServerL2::object(ObjectId obj) const {
   return it->second;
 }
 
-bool ServerL2::store(ObjectId obj, Tag tag, Bytes element) {
+bool ServerL2::store(ObjectId obj, Tag tag, Value element) {
   // Persist-before-apply: if the disk refuses, neither RAM nor the acker
   // sees the element — the server simply behaves like one that never
   // received the message, which the f2 fault budget already covers.
@@ -79,7 +79,7 @@ bool ServerL2::store(ObjectId obj, Tag tag, Bytes element) {
   return backend_ == nullptr || backend_->checkpoint_if_due().ok();
 }
 
-void ServerL2::recovery_store(ObjectId obj, Tag tag, Bytes element) {
+void ServerL2::recovery_store(ObjectId obj, Tag tag, Value element) {
   store(obj, tag, std::move(element));
 }
 
@@ -120,7 +120,7 @@ void ServerL2::forget_object(ObjectId obj) {
 Tag ServerL2::stored_tag(ObjectId obj) const { return object(obj).tag; }
 
 const Bytes& ServerL2::stored_element(ObjectId obj) const {
-  return object(obj).element;
+  return object(obj).element.bytes();
 }
 
 // ---- repair extension ---------------------------------------------------------

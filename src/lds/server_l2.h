@@ -72,7 +72,7 @@ class ServerL2 final : public net::Node {
 
   /// Cluster recovery sync: adopt (tag, element) directly (no messages),
   /// persisting it if a backend is attached.  Construction-time only.
-  void recovery_store(ObjectId obj, Tag tag, Bytes element);
+  void recovery_store(ObjectId obj, Tag tag, Value element);
 
   /// Objects with explicit local state (recovered or written; excludes
   /// untouched objects whose (t0, c0) default is derivable).
@@ -89,7 +89,7 @@ class ServerL2 final : public net::Node {
  private:
   struct ObjectState {
     Tag tag = kTag0;
-    Bytes element;
+    Value element;  ///< shared with the offload message that delivered it
   };
 
   struct Repair {
@@ -109,7 +109,7 @@ class ServerL2 final : public net::Node {
   /// Persist (durable mode), apply in RAM, then checkpoint if one is due.
   /// False = the backend refused the put or the checkpoint (poisoned /
   /// injected fault); the caller must not acknowledge.
-  bool store(ObjectId obj, Tag tag, Bytes element);
+  bool store(ObjectId obj, Tag tag, Value element);
   /// Durable mode: tell every L1 server this element is durable here.
   void broadcast_durable_ack(ObjectId obj, Tag tag);
 

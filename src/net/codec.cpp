@@ -75,7 +75,7 @@ class LdsCodec final : public FamilyCodec {
             },
             [&](const WriteCodeElem& b) {
               w.tag(b.tag);
-              w.blob(b.element);
+              w.blob(b.element.bytes());
             },
             [&](const AckCodeElem& b) { w.tag(b.tag); },
             [&](const QueryCodeElem& b) { w.i32(b.target_index); },
@@ -211,7 +211,9 @@ class LdsCodec final : public FamilyCodec {
       case 14: {
         WriteCodeElem b;
         if (!r.tag(&b.tag)) return truncated("WriteCodeElem.tag");
-        if (!r.blob(&b.element)) return truncated("WriteCodeElem.element");
+        Bytes element;
+        if (!r.blob(&element)) return truncated("WriteCodeElem.element");
+        b.element = Value(std::move(element));
         body = std::move(b);
         break;
       }

@@ -33,9 +33,10 @@ storage::Manifest StoreService::storage_manifest(const StoreOptions& opt) {
   // Routing is a pure function of (shards, vnodes): a restart with a
   // different split would silently look for keys on the wrong shard, so
   // pin both and fail fast on mismatch.  Geometry and code are pinned per
-  // shard by each LdsCluster's own manifest in `shard-<s>/`.
+  // shard by each LdsCluster's own manifest in `shard-<s>/`.  v2 marks the
+  // plane-major element layout, so an older data_dir is refused here.
   storage::Manifest mf;
-  mf.set("format", "lds-store-v1");
+  mf.set("format", "lds-store-v2");
   mf.set("shards", static_cast<std::uint64_t>(opt.shards));
   mf.set("vnodes", static_cast<std::uint64_t>(opt.vnodes));
   return mf;

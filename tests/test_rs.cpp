@@ -99,6 +99,32 @@ TEST(RsRegenerating, RepairEqualsOriginalElement) {
   }
 }
 
+TEST(RsRegenerating, RepairSkipsAHelperClaimingTheTarget) {
+  // Helpers must not include target_index; a corrupted copy of the lost
+  // element passed among them is skipped, as every other code skips it.
+  RsRegenerating code(7, 3);
+  Rng rng(5);
+  const Bytes stripe = rng.bytes(3);
+  const auto elems = code.encode(stripe);
+  const int target = 2;
+  std::vector<IndexedBytes> helpers;
+  for (int h : {4, 5, 6}) {
+    helpers.emplace_back(
+        h, code.helper_data(h, elems[static_cast<std::size_t>(h)], target));
+  }
+  const auto clean = code.repair(target, helpers);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(*clean, elems[static_cast<std::size_t>(target)]);
+
+  Bytes corrupted = elems[static_cast<std::size_t>(target)];
+  corrupted[0] ^= 0x5a;
+  std::vector<IndexedBytes> with_target{{target, corrupted}};
+  with_target.insert(with_target.end(), helpers.begin(), helpers.end());
+  const auto repaired = code.repair(target, with_target);
+  ASSERT_TRUE(repaired.has_value());
+  EXPECT_EQ(*repaired, *clean);
+}
+
 TEST(RsRegenerating, HelperIsFullElement) {
   // The whole point of the Remark-1 ablation: at the RS/MSR point a helper
   // ships alpha = beta symbols, i.e. repair bandwidth = k * beta = B.

@@ -828,6 +828,19 @@ TEST(DurableStore, PutsSurviveServiceRestart) {
   expect_all_histories_clean(svc);
 }
 
+TEST(DurableStore, OlderFormatDataDirIsRefused) {
+  // A v1 data_dir holds stripe-major elements, which the plane-major layout
+  // would decode to wrong values: its manifest must not verify.
+  storage::ScopedDir dir("store_v1");
+  const auto opt = durable_store_options(dir.path);
+  storage::Manifest v1 = StoreService::storage_manifest(opt);
+  v1.set("format", "lds-store-v1");
+  ASSERT_TRUE(v1.verify_or_write(dir.path).ok());
+  const Status st =
+      StoreService::storage_manifest(opt).verify_or_write(dir.path);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.to_string();
+}
+
 TEST(DurableStoreDeathTest, ShardCountManifestMismatchAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   storage::ScopedDir dir("store_manifest");

@@ -1,7 +1,11 @@
 // Striping codec: arbitrary byte values through per-stripe codes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <future>
+#include <numeric>
+#include <thread>
 
 #include "codes/factory.h"
 #include "codes/pm_mbr.h"
@@ -125,7 +129,8 @@ TEST(Striped, ReplicationElementIsValueSized) {
 //
 // encode_value has four ways to produce the same bytes: the reference
 // stripe-by-stripe loop, the planar SIMD path, the planar path on the scalar
-// kernels, and the lane-parallel fan-out.  All must be byte-identical.
+// kernels, and the lane-parallel fan-out.  All must be byte-identical, in
+// the plane-major layout.
 
 TEST(StripedPaths, PlanarMatchesStripewiseAllBackends) {
   std::vector<std::pair<std::string, StripedCode>> codes;
@@ -211,6 +216,276 @@ TEST(StripedPaths, ConcurrentLaneEncodesDoNotDeadlock) {
   EXPECT_EQ(p1.get_future().get(), ref1);
   EXPECT_EQ(p2.get_future().get(), ref2);
   engine.stop();
+}
+
+// ---- decode, repair and helper data against a per-stripe reference ---------
+//
+// The reference runs the wrapped RegeneratingCode one stripe at a time on the
+// plane-major layout (symbol t of stripe s at byte t * m + s).  It applies
+// only the common-length part of the selection rule itself and leaves the
+// rest - index range, duplicates, the repair target - to the wrapped code, so
+// StripedCode's selection, index sorting and probed maps are all checked.
+
+/// The common length of the selection rule: that of the first entry with an
+/// index in [0, n) other than `skip` and a whole, non-zero number of
+/// `unit`-symbol stripes; 0 when there is none.
+std::size_t common_length(const std::vector<IndexedBytes>& entries,
+                          std::size_t n, std::size_t unit, int skip) {
+  for (const auto& [i, payload] : entries) {
+    if (i < 0 || static_cast<std::size_t>(i) >= n || i == skip) continue;
+    if (!payload.empty() && payload.size() % unit == 0) return payload.size();
+  }
+  return 0;
+}
+
+/// Stripe s of every entry of length `len` (m-byte planes), in list order.
+std::vector<IndexedBytes> stripe_s(const std::vector<IndexedBytes>& entries,
+                                   std::size_t len, std::size_t m,
+                                   std::size_t s) {
+  std::vector<IndexedBytes> out;
+  for (const auto& [i, payload] : entries) {
+    if (payload.size() != len) continue;
+    Bytes symbols(len / m);
+    for (std::size_t t = 0; t < symbols.size(); ++t) {
+      symbols[t] = payload[t * m + s];
+    }
+    out.emplace_back(i, std::move(symbols));
+  }
+  return out;
+}
+
+std::optional<Bytes> ref_decode(const StripedCode& sc,
+                                const std::vector<IndexedBytes>& entries) {
+  const RegeneratingCode& code = sc.code();
+  const std::size_t b = code.file_size();
+  const std::size_t len = common_length(entries, code.n(), code.alpha(), -1);
+  if (len == 0) return std::nullopt;
+  const std::size_t m = len / code.alpha();
+  Bytes framed(m * b);
+  for (std::size_t s = 0; s < m; ++s) {
+    const auto stripe = code.decode(stripe_s(entries, len, m, s));
+    if (!stripe) return std::nullopt;
+    for (std::size_t j = 0; j < b; ++j) framed[j * m + s] = (*stripe)[j];
+  }
+  if (framed.size() < 8) return std::nullopt;
+  std::uint64_t size = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    size |= static_cast<std::uint64_t>(framed[i]) << (8 * i);
+  }
+  if (size > framed.size() - 8) return std::nullopt;
+  const auto begin = framed.begin() + 8;
+  return Bytes(begin, begin + static_cast<long>(size));
+}
+
+std::optional<Bytes> ref_repair(const StripedCode& sc, int target,
+                                const std::vector<IndexedBytes>& entries) {
+  const RegeneratingCode& code = sc.code();
+  const std::size_t a = code.alpha();
+  const std::size_t len =
+      common_length(entries, code.n(), code.beta(), target);
+  if (len == 0) return std::nullopt;
+  const std::size_t m = len / code.beta();
+  Bytes out(m * a);
+  for (std::size_t s = 0; s < m; ++s) {
+    const auto elem = code.repair(target, stripe_s(entries, len, m, s));
+    if (!elem) return std::nullopt;
+    for (std::size_t t = 0; t < a; ++t) out[t * m + s] = (*elem)[t];
+  }
+  return out;
+}
+
+Bytes ref_helper(const StripedCode& sc, int helper, const Bytes& element,
+                 int target) {
+  const RegeneratingCode& code = sc.code();
+  const std::size_t be = code.beta();
+  const std::size_t m = element.size() / code.alpha();
+  Bytes out(m * be);
+  Bytes symbols(code.alpha());
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t t = 0; t < symbols.size(); ++t) {
+      symbols[t] = element[t * m + s];
+    }
+    const Bytes h = code.helper_data(helper, symbols, target);
+    for (std::size_t u = 0; u < be; ++u) out[u * m + s] = h[u];
+  }
+  return out;
+}
+
+StripedCode code_named(const std::string& name) {
+  if (name == "pm_msr") return StripedCode(std::make_shared<PmMsrCode>(8, 3));
+  for (auto kind : {BackendKind::PmMbr, BackendKind::Rs,
+                    BackendKind::Replication}) {
+    if (name == backend_name(kind)) return make_backend(kind, 8, 3, 5);
+  }
+  ADD_FAILURE() << "unknown code " << name;
+  return make_backend(BackendKind::PmMbr, 8, 3, 5);
+}
+
+/// Randomizes every stripe from 8 on: a non-codeword element whose decode
+/// still carries the value's length header (framed bytes 0..7 sit in
+/// stripes 0..7 of the first plane).
+void scramble(Bytes& element, std::size_t m, Rng& rng) {
+  for (std::size_t t = 0; t < element.size() / std::max<std::size_t>(m, 1);
+       ++t) {
+    for (std::size_t s = 8; s < m; ++s) {
+      element[t * m + s] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+  }
+}
+
+/// Adds the entries the selection rule must skip - a second entry under a
+/// used index (carrying `extra`, or a copy of the first payload when
+/// `codewords` must be kept consistent), indices -1 and n, an empty payload
+/// - and shuffles, then puts a payload one byte too long anywhere after the
+/// first in-range entry (so the common length stays that of the usable
+/// entries).
+void add_noise_and_shuffle(std::vector<IndexedBytes>& entries, Bytes extra,
+                           bool codewords, int n, Rng& rng) {
+  const auto pick = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(entries.size()) - 1));
+  const int used = entries[pick].first;
+  Bytes too_long = extra;
+  too_long.push_back(0x42);
+  entries.emplace_back(used, codewords ? entries[pick].second : extra);
+  entries.emplace_back(-1, extra);
+  entries.emplace_back(n, extra);
+  entries.emplace_back(used, Bytes{});
+  std::shuffle(entries.begin(), entries.end(), rng.engine());
+  const auto first = std::find_if(
+      entries.begin(), entries.end(), [n](const IndexedBytes& e) {
+        return e.first >= 0 && e.first < n && !e.second.empty();
+      });
+  const auto after = static_cast<std::size_t>(first - entries.begin()) + 1;
+  const auto at = rng.uniform_int(static_cast<std::int64_t>(after),
+                                  static_cast<std::int64_t>(entries.size()));
+  entries.insert(entries.begin() + at, {used, std::move(too_long)});
+}
+
+class PlanarVsStripewise
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
+
+TEST_P(PlanarVsStripewise, DecodeRepairAndHelperMatchPerStripeReference) {
+  const auto& [name, size] = GetParam();
+  const StripedCode code = code_named(name);
+  // PM-MSR's decode is linear but order dependent off the codewords, so it
+  // is checked on codewords only; the others also take arbitrary payloads.
+  const bool codewords = name == "pm_msr";
+  const int n = static_cast<int>(code.n());
+  const std::size_t be = code.code().beta();
+  const std::size_t m = code.stripes(size);
+  Rng rng(size * 31 + name.size());
+  const Bytes value = rng.bytes(size);
+  const auto elems = code.encode_value(value);
+  const gf::Isa best = gf::active_isa();
+
+  int decoded = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<int> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    const auto element = [&](int i) {
+      Bytes e = elems[static_cast<std::size_t>(i)];
+      if (!codewords) scramble(e, m, rng);
+      return e;
+    };
+
+    std::vector<IndexedBytes> dec;
+    for (std::size_t p = 0; p <= code.k(); ++p) {
+      dec.emplace_back(order[p], element(order[p]));
+    }
+    add_noise_and_shuffle(dec, element(order[0]), codewords, n, rng);
+
+    const int target = order.back();
+    std::vector<IndexedBytes> rep;
+    for (std::size_t p = 0; p <= code.d(); ++p) {
+      const int h = order[p];
+      rep.emplace_back(h, codewords ? code.helper_data(
+                                          h, elems[static_cast<std::size_t>(h)],
+                                          target)
+                                    : rng.bytes(m * be));
+    }
+    rep.emplace_back(target, rng.bytes(m * be));  // the target itself
+    add_noise_and_shuffle(rep, rng.bytes(m * be), codewords, n, rng);
+
+    const int helper = order[1];
+    const Bytes helper_elem = element(helper);
+
+    const auto want_dec = ref_decode(code, dec);
+    const auto want_rep = ref_repair(code, target, rep);
+    const Bytes want_help = ref_helper(code, helper, helper_elem, target);
+    if (codewords) {
+      EXPECT_EQ(want_dec, value);
+      EXPECT_EQ(want_rep, elems[static_cast<std::size_t>(target)]);
+    }
+    ASSERT_TRUE(want_rep.has_value());
+    decoded += want_dec.has_value() ? 1 : 0;
+
+    for (const gf::Isa isa : {gf::Isa::Scalar, best}) {
+      ASSERT_TRUE(gf::select_isa(isa));
+      EXPECT_EQ(code.decode_value(dec), want_dec)
+          << name << " size=" << size << " isa=" << gf::isa_name(isa);
+      EXPECT_EQ(code.repair_element(target, rep), want_rep)
+          << name << " size=" << size << " isa=" << gf::isa_name(isa);
+      EXPECT_EQ(code.helper_data(helper, helper_elem, target), want_help)
+          << name << " size=" << size << " isa=" << gf::isa_name(isa);
+    }
+    ASSERT_TRUE(gf::select_isa(best));
+  }
+  EXPECT_GT(decoded, 0) << "every decode case was rejected";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CodesAndSizes, PlanarVsStripewise,
+    ::testing::Combine(::testing::Values("pm-mbr", "rs", "replication",
+                                         "pm_msr"),
+                       ::testing::Values(0, 1, 9, 256, 333, 16384, 70000)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) + "_" +
+                         std::to_string(std::get<1>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(StripedPaths, TwoCopiesDecodeAndRepairConcurrently) {
+  // Copies share one map cache; two threads probing and reading it at once
+  // must each get exact results.
+  const StripedCode original = mbr(8, 3, 5);
+  const StripedCode copy = original;
+  Rng rng(41);
+  const Bytes value = rng.bytes(5000);
+  const auto elems = original.encode_value(value);
+
+  std::atomic<int> wrong{0};
+  const auto worker = [&](const StripedCode& code, std::uint64_t seed) {
+    Rng r(seed);
+    std::vector<int> order(8);
+    std::iota(order.begin(), order.end(), 0);
+    for (int iter = 0; iter < 300; ++iter) {
+      std::shuffle(order.begin(), order.end(), r.engine());
+      std::vector<IndexedBytes> coded;
+      for (std::size_t p = 0; p < code.k(); ++p) {
+        coded.emplace_back(order[p], elems[static_cast<std::size_t>(order[p])]);
+      }
+      if (code.decode_value(coded) != value) ++wrong;
+
+      const int target = order[0];
+      std::vector<IndexedBytes> helpers;
+      for (std::size_t p = 1; p <= code.d(); ++p) {
+        const int h = order[p];
+        helpers.emplace_back(
+            h, code.helper_data(h, elems[static_cast<std::size_t>(h)], target));
+      }
+      if (code.repair_element(target, helpers) !=
+          elems[static_cast<std::size_t>(target)]) {
+        ++wrong;
+      }
+    }
+  };
+  std::thread t1(worker, std::cref(original), 1);
+  std::thread t2(worker, std::cref(copy), 2);
+  t1.join();
+  t2.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace
