@@ -89,8 +89,8 @@ std::optional<Bytes> PmMbrCode::decode(
 
   const math::Matrix psi_dc = psi_.select_rows(idx);       // k x d
   const math::Matrix delta_dc = psi_dc.slice_cols(k_, d_ - k_);  // k x (d-k)
-  const auto phi_inv = psi_dc.slice_cols(0, k_).inverse();
-  LDS_CHECK(phi_inv.has_value(), "PmMbrCode: Vandermonde submatrix singular");
+  const auto phi_inv = inverses_.inverse(psi_, idx);
+  LDS_CHECK(phi_inv != nullptr, "PmMbrCode: Vandermonde submatrix singular");
 
   // T from the trailing d-k columns: Y2 = Phi_DC T.
   const math::Matrix y2 = y.slice_cols(k_, d_ - k_);
@@ -139,8 +139,8 @@ std::optional<Bytes> PmMbrCode::repair(
   if (idx.size() < d_) return std::nullopt;
 
   // Psi_rep (M psi_f) = h  =>  M psi_f; element_f = (M psi_f)^t by symmetry.
-  const auto psi_rep_inv = psi_.select_rows(idx).inverse();
-  LDS_CHECK(psi_rep_inv.has_value(),
+  const auto psi_rep_inv = inverses_.inverse(psi_, idx);
+  LDS_CHECK(psi_rep_inv != nullptr,
             "PmMbrCode: Vandermonde submatrix singular");
   auto x = psi_rep_inv->mul_vec(h);
   return Bytes(x.begin(), x.end());

@@ -71,6 +71,9 @@ class PmMbrCode final : public RegeneratingCode {
   std::size_t k_;
   std::size_t d_;
   math::Matrix psi_;  // n x d Vandermonde
+  /// Inverses of Phi_DC (k rows) and Psi_rep (d rows); with k = d the two
+  /// coincide, so one cache keyed by the rows serves both.
+  math::InverseCache inverses_;
 };
 
 }  // namespace lds::codes

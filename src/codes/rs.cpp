@@ -42,8 +42,8 @@ std::optional<Bytes> RsCode::decode(
     if (idx.size() == k_) break;
   }
   if (idx.size() < k_) return std::nullopt;
-  const auto inv = gen_.select_rows(idx).inverse();
-  LDS_CHECK(inv.has_value(), "RsCode: Vandermonde submatrix singular");
+  const auto inv = inverses_.inverse(gen_, idx);
+  LDS_CHECK(inv != nullptr, "RsCode: Vandermonde submatrix singular");
   const auto x = inv->mul_vec(rhs);
   return Bytes(x.begin(), x.end());
 }

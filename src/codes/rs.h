@@ -35,6 +35,7 @@ class RsCode final : public ErasureCode {
   std::size_t n_;
   std::size_t k_;
   math::Matrix gen_;  // n x k Vandermonde generator
+  math::InverseCache inverses_;
 };
 
 /// Adapter presenting RsCode as a RegeneratingCode with d = k and

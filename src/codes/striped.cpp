@@ -5,7 +5,9 @@
 #include <bitset>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "common/assert.h"
@@ -28,17 +30,36 @@ constexpr std::size_t kChunkAlign = 64;
 constexpr std::size_t kLaneChunkInputBytes = 8 * 1024;
 // Below this framed size the fan-out hop costs more than the arithmetic.
 constexpr std::size_t kMinLaneInputBytes = 48 * 1024;
-// Bound on the cached decode, repair and helper maps of one code (the
-// default geometry uses under a thousand).  A full cache is cleared.
-constexpr std::size_t kMaxCachedMaps = 4096;
+// Largest planar map, in coefficients.  Past it one dense sweep costs more
+// per stripe than the wrapped codes' own arithmetic: PM-MBR decode maps hold
+// 34 Ki coefficients at k = d = 16 (planar ~5x faster than stripewise) and
+// 528 Ki at k = d = 32 (planar no faster).
+constexpr std::size_t kMaxMapCoeffs = 64 * 1024;
+// Bound on the bytes one map cache holds, counting kMapEntryBytes of
+// bookkeeping per map; a cache that would pass it is cleared.  The default
+// geometry's whole working set (~900 maps of at most 160 coefficients) is
+// about 0.2 MiB.
+constexpr std::size_t kMaxCachedMapBytes = 4 * 1024 * 1024;
+constexpr std::size_t kMapEntryBytes = 64;
 
 // First byte of a map's cache key: which operation it belongs to.
+constexpr char kEncodeKey = 'E';
 constexpr char kDecodeKey = 'D';
 constexpr char kRepairKey = 'R';
 constexpr char kHelperKey = 'H';
 
 using InPlanes = std::vector<const std::uint8_t*>;
 using OutPlanes = std::vector<std::uint8_t*>;
+/// One operation on one stripe through the wrapped code: its input symbols
+/// in, its output symbols out.
+using StripeFn = std::function<Bytes(std::span<const std::uint8_t>)>;
+
+/// Whether an operation whose per-stripe map is rows x cols runs planar on
+/// a call of m stripes: the map is small and its probe (cols + 2 wrapped
+/// calls) costs no more than the call done stripe by stripe (m calls).
+bool planar_pays(std::size_t rows, std::size_t cols, std::size_t m) {
+  return rows * cols <= kMaxMapCoeffs && cols + 2 <= m;
+}
 
 std::uint64_t read_len(const Bytes& framed) {
   std::uint64_t len = 0;
@@ -97,11 +118,10 @@ void apply(const std::uint8_t* coeff, std::span<const std::uint8_t* const> in,
 /// The out x in coefficient matrix of a per-stripe map, read off its action
 /// on the basis stripes, then checked on the zero stripe and a dense one.
 /// Every wrapped code is linear, so a mismatch means a broken code.
-template <typename StripeFn>
 Bytes probe(std::size_t in, std::size_t out, const StripeFn& stripe_fn) {
   Bytes x(in, 0);
   const auto run = [&] {
-    Bytes y = stripe_fn(std::span<const std::uint8_t>(x));
+    Bytes y = stripe_fn(x);
     LDS_CHECK(y.size() == out, "StripedCode: probed stripe size");
     return y;
   };
@@ -128,6 +148,85 @@ Bytes probe(std::size_t in, std::size_t out, const StripeFn& stripe_fn) {
               "StripedCode: wrapped code is not a fixed linear map");
   }
   return coeff;
+}
+
+/// The stripewise path: stripes [s0, s1) one at a time, each gathered from
+/// the input planes, run through the wrapped code and scattered into the
+/// output planes.  Safe to run on disjoint stripe ranges concurrently.
+void stripewise(const StripeFn& stripe_fn,
+                std::span<const std::uint8_t* const> in,
+                std::span<std::uint8_t* const> out, std::size_t s0,
+                std::size_t s1) {
+  Bytes x(in.size());
+  for (std::size_t s = s0; s < s1; ++s) {
+    for (std::size_t c = 0; c < in.size(); ++c) x[c] = in[c][s];
+    const Bytes y = stripe_fn(x);
+    LDS_CHECK(y.size() == out.size(), "StripedCode: stripe output size");
+    for (std::size_t r = 0; r < out.size(); ++r) out[r][s] = y[r];
+  }
+}
+
+/// Encode as a per-stripe function: B symbols in, the n*alpha symbols of
+/// all elements out, element by element.
+StripeFn encode_fn(const RegeneratingCode& code) {
+  return [&code](std::span<const std::uint8_t> stripe) {
+    const auto elems = code.encode(stripe);
+    LDS_CHECK(elems.size() == code.n(), "StripedCode: encode element count");
+    Bytes y;
+    y.reserve(code.n() * code.alpha());
+    for (const Bytes& e : elems) {
+      LDS_CHECK(e.size() == code.alpha(), "StripedCode: element stripe size");
+      y.insert(y.end(), e.begin(), e.end());
+    }
+    return y;
+  };
+}
+
+/// Runs `range` over stripes [0, m) in chunks of `chunk` stripes, spread
+/// over `engine`'s lanes.  Work-helping: chunks sit behind an atomic claim
+/// counter; helper tasks posted to the other lanes and the calling thread
+/// all pull from it until it runs dry.  Helpers never wait on anything, so
+/// two lanes fanning out concurrently (each with helpers queued on the
+/// other) cannot deadlock; the caller blocks only on in-flight chunks.
+void fan_out(net::Engine& engine, std::size_t m, std::size_t chunk,
+             const std::function<void(std::size_t, std::size_t)>& range) {
+  const std::size_t total = (m + chunk - 1) / chunk;
+  struct Job {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  auto job = std::make_shared<Job>();
+  // A helper that claims no chunk touches only `job`, which it co-owns, so
+  // it may still be returning after the caller has moved on.
+  auto run_chunks = [job, &range, m, chunk, total] {
+    for (;;) {
+      const std::size_t c = job->next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= total) break;
+      const std::size_t s0 = c * chunk;
+      range(s0, std::min(m, s0 + chunk));
+      if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
+        std::lock_guard<std::mutex> lk(job->mu);
+        job->cv.notify_all();
+      }
+    }
+  };
+
+  const auto self = engine.current_lane();
+  std::size_t posted = 0;
+  for (std::size_t lane = 0; lane < engine.lanes() && posted + 1 < total;
+       ++lane) {
+    if (self && *self == lane) continue;  // this thread helps directly below
+    engine.post(lane, run_chunks);
+    ++posted;
+  }
+
+  run_chunks();
+  std::unique_lock<std::mutex> lk(job->mu);
+  job->cv.wait(lk, [&] {
+    return job->done.load(std::memory_order_acquire) == total;
+  });
 }
 
 /// The selection rule of erasure_code.h: the first `want` entries whose
@@ -211,16 +310,50 @@ OutPlanes element_planes(std::vector<Bytes>& elems, std::size_t alpha,
 }
 }  // namespace
 
-struct StripedCode::Maps {
-  std::once_flag encode_once;
-  Bytes encode;
-  /// Guards `keyed`; probes run under it, so each map is probed once.
-  std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<const Bytes>> keyed;
+/// The probed maps of one code, keyed by operation and sorted index set.
+class MapCache {
+ public:
+  /// The map for `key`: cached, or probed now from `stripe_fn` (one stripe
+  /// of `in` symbols -> `out` symbols).  Probes run outside the lock; two
+  /// threads missing the same key both probe and keep the first result.
+  std::shared_ptr<const Bytes> get(const std::string& key, std::size_t in,
+                                   std::size_t out, const StripeFn& stripe_fn) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (auto it = maps_.find(key); it != maps_.end()) return it->second;
+    }
+    auto map = std::make_shared<const Bytes>(probe(in, out, stripe_fn));
+    const std::size_t cost = map->size() + key.size() + kMapEntryBytes;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (auto it = maps_.find(key); it != maps_.end()) return it->second;
+    if (bytes_ + cost > kMaxCachedMapBytes) {
+      maps_.clear();
+      bytes_ = 0;
+    }
+    maps_.emplace(key, map);
+    bytes_ += cost;
+    return map;
+  }
+
+  /// Out planes = the operation `stripe_fn` over stripes [0, m) of the in
+  /// planes: through the map for `key` when planar_pays, else stripewise.
+  void run(const std::string& key, const InPlanes& in, const OutPlanes& out,
+           std::size_t m, const StripeFn& stripe_fn) {
+    if (planar_pays(out.size(), in.size(), m)) {
+      apply(get(key, in.size(), out.size(), stripe_fn)->data(), in, out, 0, m);
+    } else {
+      stripewise(stripe_fn, in, out, 0, m);
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<const Bytes>> maps_;
+  std::size_t bytes_ = 0;  // sum of the cached maps' costs
 };
 
 StripedCode::StripedCode(std::shared_ptr<const RegeneratingCode> code)
-    : code_(std::move(code)), maps_(std::make_shared<Maps>()) {
+    : code_(std::move(code)), maps_(std::make_shared<MapCache>()) {
   LDS_REQUIRE(code_ != nullptr, "StripedCode: null code");
   LDS_REQUIRE(code_->n() <= 255, "StripedCode: need n <= 255");
 }
@@ -250,40 +383,6 @@ std::size_t StripedCode::helper_size(std::size_t value_size) const {
   return stripes(value_size) * code_->beta();
 }
 
-const Bytes& StripedCode::encode_map() const {
-  Maps& maps = *maps_;
-  std::call_once(maps.encode_once, [&] {
-    const std::size_t n = code_->n();
-    const std::size_t a = code_->alpha();
-    maps.encode = probe(code_->file_size(), n * a,
-                        [&](std::span<const std::uint8_t> stripe) {
-                          const auto elems = code_->encode(stripe);
-                          LDS_CHECK(elems.size() == n,
-                                    "StripedCode: encode element count");
-                          Bytes y;
-                          y.reserve(n * a);
-                          for (const Bytes& e : elems) {
-                            y.insert(y.end(), e.begin(), e.end());
-                          }
-                          return y;
-                        });
-  });
-  return maps.encode;
-}
-
-template <typename StripeFn>
-std::shared_ptr<const Bytes> StripedCode::map_for(
-    const std::string& key, std::size_t in, std::size_t out,
-    const StripeFn& stripe_fn) const {
-  std::lock_guard<std::mutex> lk(maps_->mu);
-  auto& keyed = maps_->keyed;
-  if (auto it = keyed.find(key); it != keyed.end()) return it->second;
-  if (keyed.size() >= kMaxCachedMaps) keyed.clear();
-  auto map = std::make_shared<const Bytes>(probe(in, out, stripe_fn));
-  keyed.emplace(key, map);
-  return map;
-}
-
 std::vector<Bytes> StripedCode::encode_value(const Bytes& value) const {
   return encode_value(value, nullptr);
 }
@@ -291,95 +390,43 @@ std::vector<Bytes> StripedCode::encode_value(const Bytes& value) const {
 std::vector<Bytes> StripedCode::encode_value(const Bytes& value,
                                              net::Engine* engine) const {
   const Bytes framed = frame(value);
-  if (engine != nullptr && engine->lanes() > 1 &&
-      framed.size() >= kMinLaneInputBytes) {
-    return encode_value_lanes(framed, *engine);
-  }
   const std::size_t b = code_->file_size();
-  const std::size_t a = code_->alpha();
-  const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(code_->n(), Bytes(m * a));
-  apply(encode_map().data(), planes(framed.data(), b, m),
-        element_planes(out, a, m), 0, m);
-  return out;
-}
-
-std::vector<Bytes> StripedCode::encode_value_lanes(const Bytes& framed,
-                                                   net::Engine& engine) const {
-  const std::size_t b = code_->file_size();
-  const std::size_t a = code_->alpha();
-  const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(code_->n(), Bytes(m * a));
-  const Bytes& map = encode_map();
-  const InPlanes in = planes(framed.data(), b, m);
-  const OutPlanes outp = element_planes(out, a, m);
-
-  const std::size_t chunk = std::max(
-      kChunkAlign, kLaneChunkInputBytes / b / kChunkAlign * kChunkAlign);
-  const std::size_t total = (m + chunk - 1) / chunk;
-
-  // Work-helping fan-out: chunks sit behind an atomic claim counter; helper
-  // tasks posted to the other lanes and the calling thread all pull from it
-  // until it runs dry.  Helpers never wait on anything, so two lanes encoding
-  // concurrently (each with helpers queued on the other) cannot deadlock; the
-  // caller blocks only on in-flight pure-compute chunks.
-  struct Job {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto job = std::make_shared<Job>();
-  // Keep the maps alive independently of *this: a helper can still be
-  // between its last chunk and its return after the caller has moved on.
-  auto hold_maps = maps_;
-
-  auto run_chunks = [job, hold_maps, &map, &in, &outp, m, chunk, total] {
-    for (;;) {
-      const std::size_t c = job->next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= total) break;
-      const std::size_t s0 = c * chunk;
-      apply(map.data(), in, outp, s0, std::min(m, s0 + chunk));
-      if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-        std::lock_guard<std::mutex> lk(job->mu);
-        job->cv.notify_all();
-      }
-    }
-  };
-
-  const auto self = engine.current_lane();
-  std::size_t posted = 0;
-  for (std::size_t lane = 0; lane < engine.lanes() && posted + 1 < total;
-       ++lane) {
-    if (self && *self == lane) continue;  // this thread helps directly below
-    engine.post(lane, run_chunks);
-    ++posted;
-  }
-
-  run_chunks();
-  std::unique_lock<std::mutex> lk(job->mu);
-  job->cv.wait(lk, [&] {
-    return job->done.load(std::memory_order_acquire) == total;
-  });
-  return out;
+  return encode_framed(framed, engine,
+                       planar_pays(n() * code_->alpha(), b, framed.size() / b));
 }
 
 std::vector<Bytes> StripedCode::encode_value_stripewise(
     const Bytes& value) const {
-  const Bytes framed = frame(value);
+  return encode_framed(frame(value), nullptr, /*planar=*/false);
+}
+
+std::vector<Bytes> StripedCode::encode_framed(const Bytes& framed,
+                                              net::Engine* engine,
+                                              bool planar) const {
   const std::size_t b = code_->file_size();
   const std::size_t a = code_->alpha();
   const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(code_->n(), Bytes(m * a));
-  Bytes stripe(b);
-  for (std::size_t s = 0; s < m; ++s) {
-    for (std::size_t j = 0; j < b; ++j) stripe[j] = framed[j * m + s];
-    const auto elems = code_->encode(stripe);
-    LDS_CHECK(elems.size() == out.size(), "StripedCode: encode element count");
-    for (std::size_t i = 0; i < elems.size(); ++i) {
-      LDS_CHECK(elems[i].size() == a, "StripedCode: element stripe size");
-      for (std::size_t t = 0; t < a; ++t) out[i][t * m + s] = elems[i][t];
+  std::vector<Bytes> out(n(), Bytes(m * a));
+  const InPlanes in = planes(framed.data(), b, m);
+  const OutPlanes outp = element_planes(out, a, m);
+  const StripeFn fn = encode_fn(*code_);
+  const auto map =
+      planar ? maps_->get(std::string{kEncodeKey}, b, n() * a, fn) : nullptr;
+  const auto range = [&](std::size_t s0, std::size_t s1) {
+    if (map) {
+      apply(map->data(), in, outp, s0, s1);
+    } else {
+      stripewise(fn, in, outp, s0, s1);
     }
+  };
+  if (engine != nullptr && engine->lanes() > 1 &&
+      framed.size() >= kMinLaneInputBytes) {
+    fan_out(*engine, m,
+            std::max(kChunkAlign,
+                     kLaneChunkInputBytes / b / kChunkAlign * kChunkAlign),
+            range);
+  } else {
+    range(0, m);
   }
   return out;
 }
@@ -392,10 +439,21 @@ Bytes StripedCode::encode_element(const Bytes& value, int index) const {
   const Bytes framed = frame(value);
   const std::size_t m = framed.size() / b;
   Bytes out(m * a);
-  // The element's alpha rows of the encode map.
-  const std::uint8_t* rows =
-      encode_map().data() + static_cast<std::size_t>(index) * a * b;
-  apply(rows, planes(framed.data(), b, m), planes(out.data(), a, m), 0, m);
+  const InPlanes in = planes(framed.data(), b, m);
+  const OutPlanes outp = planes(out.data(), a, m);
+  if (planar_pays(n() * a, b, m)) {
+    // The element's alpha rows of the encode map.
+    const auto map =
+        maps_->get(std::string{kEncodeKey}, b, n() * a, encode_fn(*code_));
+    apply(map->data() + static_cast<std::size_t>(index) * a * b, in, outp, 0,
+          m);
+  } else {
+    stripewise(
+        [&](std::span<const std::uint8_t> stripe) {
+          return code_->encode_one(stripe, index);
+        },
+        in, outp, 0, m);
+  }
   return out;
 }
 
@@ -408,16 +466,15 @@ std::optional<Bytes> StripedCode::decode_value(
   if (chosen.empty()) return std::nullopt;
   const std::size_t m = chosen.front()->second.size() / a;
 
-  const auto map = map_for(
-      map_key(kDecodeKey, 0, chosen), k * a, b,
-      [&](std::span<const std::uint8_t> x) {
-        auto stripe = code_->decode(stripe_entries(chosen, x, a));
-        LDS_CHECK(stripe.has_value(), "StripedCode: decode of k elements");
-        return std::move(*stripe);
-      });
   Bytes framed(m * b);
-  apply(map->data(), entry_planes(chosen, a, m), planes(framed.data(), b, m),
-        0, m);
+  maps_->run(map_key(kDecodeKey, 0, chosen), entry_planes(chosen, a, m),
+             planes(framed.data(), b, m), m,
+             [&](std::span<const std::uint8_t> x) {
+               auto stripe = code_->decode(stripe_entries(chosen, x, a));
+               LDS_CHECK(stripe.has_value(),
+                         "StripedCode: decode of k elements");
+               return std::move(*stripe);
+             });
 
   if (framed.size() < kHeader) return std::nullopt;
   const std::uint64_t len = read_len(framed);
@@ -441,12 +498,11 @@ Bytes StripedCode::helper_data(int helper_index, const Bytes& element,
 
   const std::string key{kHelperKey, static_cast<char>(helper_index),
                         static_cast<char>(target_index)};
-  const auto map = map_for(key, a, be, [&](std::span<const std::uint8_t> x) {
-    return code_->helper_data(helper_index, x, target_index);
-  });
   Bytes out(m * be);
-  apply(map->data(), planes(element.data(), a, m), planes(out.data(), be, m),
-        0, m);
+  maps_->run(key, planes(element.data(), a, m), planes(out.data(), be, m), m,
+             [&](std::span<const std::uint8_t> x) {
+               return code_->helper_data(helper_index, x, target_index);
+             });
   return out;
 }
 
@@ -461,16 +517,16 @@ std::optional<Bytes> StripedCode::repair_element(
   if (chosen.empty()) return std::nullopt;
   const std::size_t m = chosen.front()->second.size() / be;
 
-  const auto map = map_for(
-      map_key(kRepairKey, target_index, chosen), d * be, a,
-      [&](std::span<const std::uint8_t> x) {
-        auto elem = code_->repair(target_index, stripe_entries(chosen, x, be));
-        LDS_CHECK(elem.has_value(), "StripedCode: repair from d helpers");
-        return std::move(*elem);
-      });
   Bytes out(m * a);
-  apply(map->data(), entry_planes(chosen, be, m), planes(out.data(), a, m), 0,
-        m);
+  maps_->run(map_key(kRepairKey, target_index, chosen),
+             entry_planes(chosen, be, m), planes(out.data(), a, m), m,
+             [&](std::span<const std::uint8_t> x) {
+               auto elem =
+                   code_->repair(target_index, stripe_entries(chosen, x, be));
+               LDS_CHECK(elem.has_value(),
+                         "StripedCode: repair from d helpers");
+               return std::move(*elem);
+             });
   return out;
 }
 

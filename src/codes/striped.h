@@ -11,35 +11,46 @@
 // plane t holds symbol t of every stripe, contiguously.  The framed value is
 // B planes (stripe s is the bytes at s, m + s, 2m + s, ...), a coded element
 // is alpha planes and helper data is beta planes.  So symbol t of stripe s of
-// an element is byte t * m + s, and no operation ever gathers or scatters.
+// an element is byte t * m + s, and the planar path below never gathers or
+// scatters.
 //
-// One mechanism for every operation.  Each wrapped code is a fixed linear
-// map per stripe, and so is each of its operations once the participating
-// indices are fixed: encode (B -> n*alpha symbols), decode from a set of k
-// elements (k*alpha -> B), helper data from element h toward target f
-// (alpha -> beta) and repair of f from a set of d helpers (d*beta -> alpha).
-// StripedCode probes each such map once from the wrapped code with basis
-// stripes, self-checks it on a dense stripe (a mismatch is an LDS_CHECK
-// failure: there is no second, stripe-by-stripe path), caches it, and then
-// applies it to whole planes: output plane r = sum_c map[r][c] * input plane
-// c, as long gf::mul_into / gf::axpy sweeps (the runtime-dispatched SIMD
-// kernels) over cache-sized stripe chunks.  The encode map is probed once per
-// code; decode, repair and helper maps are cached per sorted index set (see
-// the selection rule in erasure_code.h), in a bounded cache that every copy
-// of a StripedCode shares and that is safe to use from several threads.
+// Two ways to run each operation, byte-identical.  Each wrapped code is a
+// fixed linear map per stripe, and so is each of its operations once the
+// participating indices are fixed: encode (B -> n*alpha symbols), decode
+// from a set of k elements (k*alpha -> B), helper data from element h toward
+// target f (alpha -> beta) and repair of f from a set of d helpers
+// (d*beta -> alpha).  The planar path probes such a map once from the
+// wrapped code with basis stripes, self-checks it on a dense stripe (a
+// mismatch is an LDS_CHECK failure, never a silent switch of path), caches
+// it, and applies it to whole planes: output plane r = sum_c map[r][c] *
+// input plane c, as long gf::mul_into / gf::axpy sweeps (the
+// runtime-dispatched SIMD kernels) over cache-sized stripe chunks.  The
+// stripewise path runs the wrapped code once per stripe instead.
+//
+// Which path runs depends only on the map's shape (rows x cols) and the
+// call's stripe count m.  The planar path needs two things: a small map
+// (at most 64 Ki coefficients - past that one dense sweep costs more per
+// stripe than the wrapped codes' structured arithmetic, e.g. PM-MBR decode
+// at k = d >= 32) and a probe (cols + 2 wrapped calls) no dearer than the
+// call itself done stripe by stripe (m wrapped calls).  So the default
+// geometry (k = d = 4) runs every operation planar on values of 18 stripes
+// or more, while the paper's large regimes (k = d = 0.8 n) always decode
+// and encode stripe by stripe from n = 40 on.  Maps are cached per
+// operation and sorted index set (see the selection rule in
+// erasure_code.h), in a cache bounded by bytes that every copy of a
+// StripedCode shares and that is safe to use from several threads.
 //
 // Large encodes additionally fan out across the lanes of a net::Engine
 // (encode_value(value, engine)): stripe chunks go into a shared claim
 // counter, every other lane is posted a helper task, and the calling lane
 // helps until all chunks are done.  Helpers never block, so the fan-out
 // cannot deadlock even when every lane encodes concurrently.  The output is
-// byte-identical on every path - scalar or SIMD, serial or lane-parallel,
-// Sim or Parallel engine - because chunk boundaries only partition pure,
-// exact GF arithmetic.
+// byte-identical on every path - planar or stripewise, scalar or SIMD,
+// serial or lane-parallel, Sim or Parallel engine - because both paths
+// compute the same exact GF map and chunk boundaries only partition it.
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "codes/erasure_code.h"
 
@@ -48,6 +59,8 @@ class Engine;
 }
 
 namespace lds::codes {
+
+class MapCache;
 
 class StripedCode {
  public:
@@ -78,10 +91,9 @@ class StripedCode {
   std::vector<Bytes> encode_value(const Bytes& value,
                                   net::Engine* engine) const;
 
-  /// Reference stripe-by-stripe encode through the wrapped code, into the
-  /// same plane-major layout.  Kept callable for the equivalence tests and
-  /// as the baseline leg of bench_codes_micro; encode_value must match it
-  /// byte for byte.
+  /// Reference encode: the stripewise path whatever the geometry.  Kept
+  /// callable for the equivalence tests and as the baseline leg of
+  /// bench_codes_micro; encode_value must match it byte for byte.
   std::vector<Bytes> encode_value_stripewise(const Bytes& value) const;
 
   /// Encode only element `index`.
@@ -103,26 +115,14 @@ class StripedCode {
       int target_index, std::span<const IndexedBytes> helpers) const;
 
  private:
-  /// Probed maps, shared by every copy of this StripedCode (striped.cpp).
-  struct Maps;
-
   Bytes frame(const Bytes& value) const;  // header + pad to stripe multiple
 
-  /// The (n*alpha) x B encode map, row i*alpha + t = element i, symbol t.
-  const Bytes& encode_map() const;
-
-  /// The cached map for `key`, probed on first use from `stripe_fn` (one
-  /// stripe of `in` symbols -> `out` symbols through the wrapped code).
-  template <typename StripeFn>
-  std::shared_ptr<const Bytes> map_for(const std::string& key, std::size_t in,
-                                       std::size_t out,
-                                       const StripeFn& stripe_fn) const;
-
-  std::vector<Bytes> encode_value_lanes(const Bytes& framed,
-                                        net::Engine& engine) const;
+  std::vector<Bytes> encode_framed(const Bytes& framed, net::Engine* engine,
+                                   bool planar) const;
 
   std::shared_ptr<const RegeneratingCode> code_;
-  std::shared_ptr<Maps> maps_;
+  /// Probed maps, shared by every copy of this StripedCode (striped.cpp).
+  std::shared_ptr<MapCache> maps_;
 };
 
 }  // namespace lds::codes

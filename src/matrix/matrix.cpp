@@ -209,4 +209,19 @@ void Matrix::paste(const Matrix& m, std::size_t r0, std::size_t c0) {
     for (std::size_t j = 0; j < m.cols(); ++j) at(r0 + i, c0 + j) = m.at(i, j);
 }
 
+std::shared_ptr<const Matrix> InverseCache::inverse(
+    const Matrix& source, const std::vector<int>& rows) const {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (auto it = cache_.find(rows); it != cache_.end()) return it->second;
+  }
+  auto inv = source.select_rows(rows).slice_cols(0, rows.size()).inverse();
+  if (!inv) return nullptr;
+  auto shared = std::make_shared<const Matrix>(std::move(*inv));
+  std::lock_guard<std::mutex> lk(mu_);
+  if (cache_.size() >= 64) cache_.clear();
+  cache_.emplace(rows, shared);
+  return shared;
+}
+
 }  // namespace lds::math

@@ -8,6 +8,9 @@
 #pragma once
 
 #include <initializer_list>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -96,6 +99,23 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Elem> data_;
+};
+
+/// Memoized inverses of square submatrices of one fixed matrix, keyed by the
+/// selected rows.  Striped decode and repair solve against the same
+/// submatrix for every stripe of a value, so the Gauss-Jordan work is paid
+/// once per index set.  Bounded (a full cache is cleared) and safe to use
+/// from several threads.
+class InverseCache {
+ public:
+  /// The inverse of the first rows.size() columns of `source`'s `rows`
+  /// (`source` must be the same matrix on every call); nullptr if singular.
+  std::shared_ptr<const Matrix> inverse(const Matrix& source,
+                                        const std::vector<int>& rows) const;
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::map<std::vector<int>, std::shared_ptr<const Matrix>> cache_;
 };
 
 }  // namespace lds::math

@@ -131,7 +131,13 @@ void ParallelEngine::start() {
 void ParallelEngine::stop() {
   if (!started_) return;
   stop_.store(true);
-  for (auto& ln : lanes_) ln->cv.notify_all();
+  // Notify under each lane's lock: a worker that read stop_ as false and
+  // has not yet entered cv.wait holds that lock, so a bare notify could
+  // fall into that window and leave the worker (and this join) waiting.
+  for (auto& ln : lanes_) {
+    std::lock_guard<std::mutex> lk(ln->mu);
+    ln->cv.notify_all();
+  }
   for (auto& ln : lanes_) {
     if (ln->worker.joinable()) ln->worker.join();
   }

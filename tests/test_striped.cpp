@@ -446,46 +446,116 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The paper's large regimes (k = d = 0.8 n) cross the planar/stripewise
+// rule inside one geometry: at n = 20 every map is planar, at n = 40 repair
+// and helper data are planar while decode and encode (maps of 528 Ki and
+// 660 Ki coefficients) run stripe by stripe, and at n = 100 (the benches'
+// 40000-byte values, 13 stripes) everything runs stripe by stripe.
+TEST(StripedPaths, LargeGeometriesMatchPerStripeReference) {
+  using Case = std::pair<std::size_t, std::size_t>;  // n, value size
+  for (const auto& [n, size] : {Case{20, 36000}, Case{40, 27000},
+                                Case{100, 40000}}) {
+    const std::size_t k = n * 8 / 10;
+    const StripedCode code = make_backend(BackendKind::PmMbr, n, k, k);
+    Rng rng(n);
+    const Bytes value = rng.bytes(size);
+    const auto elems = code.encode_value(value);
+    EXPECT_EQ(elems, code.encode_value_stripewise(value)) << "n=" << n;
+    EXPECT_EQ(code.encode_element(value, 3), elems[3]) << "n=" << n;
+
+    std::vector<IndexedBytes> coded;
+    for (std::size_t i = n - k; i < n; ++i) {
+      coded.emplace_back(static_cast<int>(i), elems[i]);
+    }
+    std::shuffle(coded.begin(), coded.end(), rng.engine());
+    EXPECT_EQ(code.decode_value(coded), value) << "n=" << n;
+    EXPECT_EQ(code.decode_value(coded), ref_decode(code, coded)) << "n=" << n;
+
+    const int target = 0;
+    std::vector<IndexedBytes> helpers;
+    for (std::size_t h = 1; h <= k; ++h) {
+      helpers.emplace_back(static_cast<int>(h),
+                           code.helper_data(static_cast<int>(h), elems[h],
+                                            target));
+      EXPECT_EQ(helpers.back().second,
+                ref_helper(code, static_cast<int>(h), elems[h], target))
+          << "n=" << n << " helper=" << h;
+    }
+    EXPECT_EQ(code.repair_element(target, helpers), elems[0]) << "n=" << n;
+    EXPECT_EQ(code.repair_element(target, helpers),
+              ref_repair(code, target, helpers))
+        << "n=" << n;
+  }
+}
+
+TEST(StripedPaths, ManyIndexSetsOfLargeMapsDecodeExactly) {
+  // Each decode map here is 136 x 256 coefficients (34 KiB) and each
+  // index set gets its own, so 160 sets drive the shared cache past its
+  // byte bound: it is cleared and re-probed mid-run, and every decode must
+  // still be exact.
+  const std::size_t n = 20, k = 16;
+  const StripedCode code = make_backend(BackendKind::PmMbr, n, k, k);
+  Rng rng(43);
+  const Bytes value = rng.bytes(36000);
+  const auto elems = code.encode_value(value);
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  for (int set = 0; set < 160; ++set) {
+    std::shuffle(order.begin(), order.end(), rng.engine());
+    std::vector<IndexedBytes> coded;
+    for (std::size_t p = 0; p < k; ++p) {
+      coded.emplace_back(order[p], elems[static_cast<std::size_t>(order[p])]);
+    }
+    ASSERT_EQ(code.decode_value(coded), value) << "set " << set;
+  }
+}
+
 TEST(StripedPaths, TwoCopiesDecodeAndRepairConcurrently) {
-  // Copies share one map cache; two threads probing and reading it at once
-  // must each get exact results.
+  // Copies share one map cache and one wrapped code; two threads probing
+  // and reading the maps (5000-byte value: planar) or running the wrapped
+  // code's shared inverse cache (40-byte value: 4 stripes, stripewise) at
+  // once must each get exact results.
   const StripedCode original = mbr(8, 3, 5);
   const StripedCode copy = original;
-  Rng rng(41);
-  const Bytes value = rng.bytes(5000);
-  const auto elems = original.encode_value(value);
+  for (const std::size_t size : {5000, 40}) {
+    Rng rng(41 + size);
+    const Bytes value = rng.bytes(size);
+    const auto elems = original.encode_value(value);
 
-  std::atomic<int> wrong{0};
-  const auto worker = [&](const StripedCode& code, std::uint64_t seed) {
-    Rng r(seed);
-    std::vector<int> order(8);
-    std::iota(order.begin(), order.end(), 0);
-    for (int iter = 0; iter < 300; ++iter) {
-      std::shuffle(order.begin(), order.end(), r.engine());
-      std::vector<IndexedBytes> coded;
-      for (std::size_t p = 0; p < code.k(); ++p) {
-        coded.emplace_back(order[p], elems[static_cast<std::size_t>(order[p])]);
-      }
-      if (code.decode_value(coded) != value) ++wrong;
+    std::atomic<int> wrong{0};
+    const auto worker = [&](const StripedCode& code, std::uint64_t seed) {
+      Rng r(seed);
+      std::vector<int> order(8);
+      std::iota(order.begin(), order.end(), 0);
+      for (int iter = 0; iter < 300; ++iter) {
+        std::shuffle(order.begin(), order.end(), r.engine());
+        std::vector<IndexedBytes> coded;
+        for (std::size_t p = 0; p < code.k(); ++p) {
+          coded.emplace_back(order[p],
+                             elems[static_cast<std::size_t>(order[p])]);
+        }
+        if (code.decode_value(coded) != value) ++wrong;
 
-      const int target = order[0];
-      std::vector<IndexedBytes> helpers;
-      for (std::size_t p = 1; p <= code.d(); ++p) {
-        const int h = order[p];
-        helpers.emplace_back(
-            h, code.helper_data(h, elems[static_cast<std::size_t>(h)], target));
+        const int target = order[0];
+        std::vector<IndexedBytes> helpers;
+        for (std::size_t p = 1; p <= code.d(); ++p) {
+          const int h = order[p];
+          helpers.emplace_back(
+              h, code.helper_data(h, elems[static_cast<std::size_t>(h)],
+                                  target));
+        }
+        if (code.repair_element(target, helpers) !=
+            elems[static_cast<std::size_t>(target)]) {
+          ++wrong;
+        }
       }
-      if (code.repair_element(target, helpers) !=
-          elems[static_cast<std::size_t>(target)]) {
-        ++wrong;
-      }
-    }
-  };
-  std::thread t1(worker, std::cref(original), 1);
-  std::thread t2(worker, std::cref(copy), 2);
-  t1.join();
-  t2.join();
-  EXPECT_EQ(wrong.load(), 0);
+    };
+    std::thread t1(worker, std::cref(original), 1);
+    std::thread t2(worker, std::cref(copy), 2);
+    t1.join();
+    t2.join();
+    EXPECT_EQ(wrong.load(), 0) << "size=" << size;
+  }
 }
 
 }  // namespace
