@@ -34,12 +34,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/types.h"
 
 namespace lds::codes {
 
 /// (element index, element payload) pair used by decode() and repair().
-using IndexedBytes = std::pair<int, Bytes>;
+/// The payload is a shared handle, so callers holding received elements or
+/// helper data pass those buffers without copying them; Bytes convert in.
+using IndexedBytes = std::pair<int, Value>;
 
 class ErasureCode {
  public:

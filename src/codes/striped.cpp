@@ -48,11 +48,11 @@ constexpr char kDecodeKey = 'D';
 constexpr char kRepairKey = 'R';
 constexpr char kHelperKey = 'H';
 
-using InPlanes = std::vector<const std::uint8_t*>;
-using OutPlanes = std::vector<std::uint8_t*>;
-/// One operation on one stripe through the wrapped code: its input symbols
-/// in, its output symbols out.
-using StripeFn = std::function<Bytes(std::span<const std::uint8_t>)>;
+// Plane lists are accessors, not pointer vectors: `planes(p)` returns the
+// start of plane p, so a call that hits the map cache allocates nothing but
+// its output.  A stripe function is one operation on one stripe through the
+// wrapped code (its input symbols in, its output symbols out), passed as a
+// plain callable and run only on a map-cache miss or on the stripewise path.
 
 /// Whether an operation whose per-stripe map is rows x cols runs planar on
 /// a call of m stripes: the map is small and its probe (cols + 2 wrapped
@@ -73,36 +73,34 @@ std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
 }
 
-/// The `count` consecutive m-byte planes starting at `base`.
+/// Consecutive m-byte planes starting at `base`.
 template <typename Byte>
-std::vector<Byte*> planes(Byte* base, std::size_t count, std::size_t m) {
-  std::vector<Byte*> out(count);
-  for (std::size_t p = 0; p < count; ++p) out[p] = base + p * m;
-  return out;
+auto planes(Byte* base, std::size_t m) {
+  return [base, m](std::size_t p) { return base + p * m; };
 }
 
-/// out[r] = sum_c coeff[r * in.size() + c] * in[c] over stripes [s0, s1) of
-/// every plane, in chunks of whole kChunkAlign stripes.  Pure compute; safe
-/// to run on disjoint stripe ranges of the same planes concurrently.
-void apply(const std::uint8_t* coeff, std::span<const std::uint8_t* const> in,
-           std::span<std::uint8_t* const> out, std::size_t s0,
-           std::size_t s1) {
+/// out(r) = sum_c coeff[r * cols + c] * in(c) for r < rows, over stripes
+/// [s0, s1) of every plane, in chunks of whole kChunkAlign stripes.  Pure
+/// compute; safe to run on disjoint stripe ranges of the same planes
+/// concurrently.
+template <typename In, typename Out>
+void apply(const std::uint8_t* coeff, std::size_t rows, std::size_t cols,
+           const In& in, const Out& out, std::size_t s0, std::size_t s1) {
   if (s1 <= s0) return;
-  const std::size_t cols = in.size();
   const std::size_t cap = std::max(kChunkAlign, kChunkInputBytes / cols);
   const std::size_t pieces = (s1 - s0 + cap - 1) / cap;
   const std::size_t chunk =
       round_up((s1 - s0 + pieces - 1) / pieces, kChunkAlign);
   for (std::size_t c0 = s0; c0 < s1; c0 += chunk) {
     const std::size_t len = std::min(chunk, s1 - c0);
-    for (std::size_t r = 0; r < out.size(); ++r) {
+    for (std::size_t r = 0; r < rows; ++r) {
       const std::uint8_t* row = coeff + r * cols;
-      const std::span<std::uint8_t> dst(out[r] + c0, len);
+      const std::span<std::uint8_t> dst(out(r) + c0, len);
       // The first nonzero term is a mul_into, so dst needs no zero fill.
       bool first = true;
       for (std::size_t c = 0; c < cols; ++c) {
         if (row[c] == 0) continue;
-        const std::span<const std::uint8_t> src(in[c] + c0, len);
+        const std::span<const std::uint8_t> src(in(c) + c0, len);
         if (first) {
           gf::mul_into(dst, row[c], src);
         } else {
@@ -118,6 +116,7 @@ void apply(const std::uint8_t* coeff, std::span<const std::uint8_t* const> in,
 /// The out x in coefficient matrix of a per-stripe map, read off its action
 /// on the basis stripes, then checked on the zero stripe and a dense one.
 /// Every wrapped code is linear, so a mismatch means a broken code.
+template <typename StripeFn>
 Bytes probe(std::size_t in, std::size_t out, const StripeFn& stripe_fn) {
   Bytes x(in, 0);
   const auto run = [&] {
@@ -151,32 +150,33 @@ Bytes probe(std::size_t in, std::size_t out, const StripeFn& stripe_fn) {
 }
 
 /// The stripewise path: stripes [s0, s1) one at a time, each gathered from
-/// the input planes, run through the wrapped code and scattered into the
-/// output planes.  Safe to run on disjoint stripe ranges concurrently.
-void stripewise(const StripeFn& stripe_fn,
-                std::span<const std::uint8_t* const> in,
-                std::span<std::uint8_t* const> out, std::size_t s0,
-                std::size_t s1) {
-  Bytes x(in.size());
+/// the `cols` input planes, run through the wrapped code and scattered into
+/// the `rows` output planes.  Safe to run on disjoint stripe ranges
+/// concurrently.
+template <typename StripeFn, typename In, typename Out>
+void stripewise(const StripeFn& stripe_fn, std::size_t rows, std::size_t cols,
+                const In& in, const Out& out, std::size_t s0, std::size_t s1) {
+  Bytes x(cols);
   for (std::size_t s = s0; s < s1; ++s) {
-    for (std::size_t c = 0; c < in.size(); ++c) x[c] = in[c][s];
+    for (std::size_t c = 0; c < cols; ++c) x[c] = in(c)[s];
     const Bytes y = stripe_fn(x);
-    LDS_CHECK(y.size() == out.size(), "StripedCode: stripe output size");
-    for (std::size_t r = 0; r < out.size(); ++r) out[r][s] = y[r];
+    LDS_CHECK(y.size() == rows, "StripedCode: stripe output size");
+    for (std::size_t r = 0; r < rows; ++r) out(r)[s] = y[r];
   }
 }
 
-/// Encode as a per-stripe function: B symbols in, the n*alpha symbols of
-/// all elements out, element by element.
-StripeFn encode_fn(const RegeneratingCode& code) {
-  return [&code](std::span<const std::uint8_t> stripe) {
+/// Encode as a per-stripe function: B symbols in, the alpha symbols of
+/// elements [first, n) out, element by element.
+auto encode_fn(const RegeneratingCode& code, std::size_t first) {
+  return [&code, first](std::span<const std::uint8_t> stripe) {
     const auto elems = code.encode(stripe);
     LDS_CHECK(elems.size() == code.n(), "StripedCode: encode element count");
     Bytes y;
-    y.reserve(code.n() * code.alpha());
-    for (const Bytes& e : elems) {
-      LDS_CHECK(e.size() == code.alpha(), "StripedCode: element stripe size");
-      y.insert(y.end(), e.begin(), e.end());
+    y.reserve((code.n() - first) * code.alpha());
+    for (std::size_t i = first; i < elems.size(); ++i) {
+      LDS_CHECK(elems[i].size() == code.alpha(),
+                "StripedCode: element stripe size");
+      y.insert(y.end(), elems[i].begin(), elems[i].end());
     }
     return y;
   };
@@ -285,28 +285,22 @@ std::vector<IndexedBytes> stripe_entries(
   return out;
 }
 
-/// Input planes of the chosen entries, `per` planes of m bytes each.
-InPlanes entry_planes(const std::vector<const IndexedBytes*>& chosen,
-                      std::size_t per, std::size_t m) {
-  InPlanes in;
-  in.reserve(chosen.size() * per);
-  for (const IndexedBytes* e : chosen) {
-    for (std::size_t p = 0; p < per; ++p) {
-      in.push_back(e->second.data() + p * m);
-    }
-  }
-  return in;
+/// Input planes of the chosen entries, `per` planes of m bytes each: plane
+/// p * per + t is plane t of entry p.
+auto entry_planes(const std::vector<const IndexedBytes*>& chosen,
+                  std::size_t per, std::size_t m) {
+  return [&chosen, per, m](std::size_t c) {
+    return chosen[c / per]->second.data() + (c % per) * m;
+  };
 }
 
-/// Output planes of all n elements, row i * alpha + t = element i, plane t.
-OutPlanes element_planes(std::vector<Bytes>& elems, std::size_t alpha,
-                         std::size_t m) {
-  OutPlanes out;
-  out.reserve(elems.size() * alpha);
-  for (Bytes& e : elems) {
-    for (std::size_t t = 0; t < alpha; ++t) out.push_back(e.data() + t * m);
-  }
-  return out;
+/// Output planes of a list of elements: plane i * alpha + t is plane t of
+/// element i.
+auto element_planes(std::vector<Bytes>& elems, std::size_t alpha,
+                    std::size_t m) {
+  return [&elems, alpha, m](std::size_t r) {
+    return elems[r / alpha].data() + (r % alpha) * m;
+  };
 }
 }  // namespace
 
@@ -316,6 +310,7 @@ class MapCache {
   /// The map for `key`: cached, or probed now from `stripe_fn` (one stripe
   /// of `in` symbols -> `out` symbols).  Probes run outside the lock; two
   /// threads missing the same key both probe and keep the first result.
+  template <typename StripeFn>
   std::shared_ptr<const Bytes> get(const std::string& key, std::size_t in,
                                    std::size_t out, const StripeFn& stripe_fn) {
     {
@@ -335,14 +330,18 @@ class MapCache {
     return map;
   }
 
-  /// Out planes = the operation `stripe_fn` over stripes [0, m) of the in
-  /// planes: through the map for `key` when planar_pays, else stripewise.
-  void run(const std::string& key, const InPlanes& in, const OutPlanes& out,
-           std::size_t m, const StripeFn& stripe_fn) {
-    if (planar_pays(out.size(), in.size(), m)) {
-      apply(get(key, in.size(), out.size(), stripe_fn)->data(), in, out, 0, m);
+  /// The `rows` out planes = the operation `stripe_fn` over stripes [0, m)
+  /// of the `cols` in planes: through the map for `key` when planar_pays,
+  /// else stripewise.
+  template <typename StripeFn, typename In, typename Out>
+  void run(const std::string& key, std::size_t rows, std::size_t cols,
+           std::size_t m, const In& in, const Out& out,
+           const StripeFn& stripe_fn) {
+    if (planar_pays(rows, cols, m)) {
+      apply(get(key, cols, rows, stripe_fn)->data(), rows, cols, in, out, 0,
+            m);
     } else {
-      stripewise(stripe_fn, in, out, 0, m);
+      stripewise(stripe_fn, rows, cols, in, out, 0, m);
     }
   }
 
@@ -389,34 +388,49 @@ std::vector<Bytes> StripedCode::encode_value(const Bytes& value) const {
 
 std::vector<Bytes> StripedCode::encode_value(const Bytes& value,
                                              net::Engine* engine) const {
+  return encode_from(value, 0, engine);
+}
+
+std::vector<Bytes> StripedCode::encode_from(const Bytes& value,
+                                            std::size_t first,
+                                            net::Engine* engine) const {
+  LDS_REQUIRE(first < n(), "StripedCode::encode_from: first out of range");
   const Bytes framed = frame(value);
   const std::size_t b = code_->file_size();
   return encode_framed(framed, engine,
-                       planar_pays(n() * code_->alpha(), b, framed.size() / b));
+                       planar_pays(n() * code_->alpha(), b, framed.size() / b),
+                       first);
 }
 
 std::vector<Bytes> StripedCode::encode_value_stripewise(
     const Bytes& value) const {
-  return encode_framed(frame(value), nullptr, /*planar=*/false);
+  return encode_framed(frame(value), nullptr, /*planar=*/false, 0);
 }
 
 std::vector<Bytes> StripedCode::encode_framed(const Bytes& framed,
-                                              net::Engine* engine,
-                                              bool planar) const {
+                                              net::Engine* engine, bool planar,
+                                              std::size_t first) const {
   const std::size_t b = code_->file_size();
   const std::size_t a = code_->alpha();
   const std::size_t m = framed.size() / b;
-  std::vector<Bytes> out(n(), Bytes(m * a));
-  const InPlanes in = planes(framed.data(), b, m);
-  const OutPlanes outp = element_planes(out, a, m);
-  const StripeFn fn = encode_fn(*code_);
-  const auto map =
-      planar ? maps_->get(std::string{kEncodeKey}, b, n() * a, fn) : nullptr;
+  const std::size_t rows = (n() - first) * a;
+  std::vector<Bytes> out;
+  out.reserve(n() - first);
+  for (std::size_t i = first; i < n(); ++i) out.emplace_back(m * a);
+  const auto in = planes(framed.data(), m);
+  const auto outp = element_planes(out, a, m);
+  const auto fn = encode_fn(*code_, first);
+  // Planar: elements [first, n) are the tail rows of the whole encode map,
+  // which encode_value and encode_element share.
+  const auto map = planar ? maps_->get(std::string{kEncodeKey}, b, n() * a,
+                                       encode_fn(*code_, 0))
+                          : nullptr;
+  const std::uint8_t* tail = map ? map->data() + first * a * b : nullptr;
   const auto range = [&](std::size_t s0, std::size_t s1) {
     if (map) {
-      apply(map->data(), in, outp, s0, s1);
+      apply(tail, rows, b, in, outp, s0, s1);
     } else {
-      stripewise(fn, in, outp, s0, s1);
+      stripewise(fn, rows, b, in, outp, s0, s1);
     }
   };
   if (engine != nullptr && engine->lanes() > 1 &&
@@ -439,20 +453,20 @@ Bytes StripedCode::encode_element(const Bytes& value, int index) const {
   const Bytes framed = frame(value);
   const std::size_t m = framed.size() / b;
   Bytes out(m * a);
-  const InPlanes in = planes(framed.data(), b, m);
-  const OutPlanes outp = planes(out.data(), a, m);
+  const auto in = planes(framed.data(), m);
+  const auto outp = planes(out.data(), m);
   if (planar_pays(n() * a, b, m)) {
     // The element's alpha rows of the encode map.
     const auto map =
-        maps_->get(std::string{kEncodeKey}, b, n() * a, encode_fn(*code_));
-    apply(map->data() + static_cast<std::size_t>(index) * a * b, in, outp, 0,
-          m);
+        maps_->get(std::string{kEncodeKey}, b, n() * a, encode_fn(*code_, 0));
+    apply(map->data() + static_cast<std::size_t>(index) * a * b, a, b, in,
+          outp, 0, m);
   } else {
     stripewise(
         [&](std::span<const std::uint8_t> stripe) {
           return code_->encode_one(stripe, index);
         },
-        in, outp, 0, m);
+        a, b, in, outp, 0, m);
   }
   return out;
 }
@@ -467,8 +481,8 @@ std::optional<Bytes> StripedCode::decode_value(
   const std::size_t m = chosen.front()->second.size() / a;
 
   Bytes framed(m * b);
-  maps_->run(map_key(kDecodeKey, 0, chosen), entry_planes(chosen, a, m),
-             planes(framed.data(), b, m), m,
+  maps_->run(map_key(kDecodeKey, 0, chosen), b, k * a, m,
+             entry_planes(chosen, a, m), planes(framed.data(), m),
              [&](std::span<const std::uint8_t> x) {
                auto stripe = code_->decode(stripe_entries(chosen, x, a));
                LDS_CHECK(stripe.has_value(),
@@ -499,7 +513,7 @@ Bytes StripedCode::helper_data(int helper_index, const Bytes& element,
   const std::string key{kHelperKey, static_cast<char>(helper_index),
                         static_cast<char>(target_index)};
   Bytes out(m * be);
-  maps_->run(key, planes(element.data(), a, m), planes(out.data(), be, m), m,
+  maps_->run(key, be, a, m, planes(element.data(), m), planes(out.data(), m),
              [&](std::span<const std::uint8_t> x) {
                return code_->helper_data(helper_index, x, target_index);
              });
@@ -518,8 +532,8 @@ std::optional<Bytes> StripedCode::repair_element(
   const std::size_t m = chosen.front()->second.size() / be;
 
   Bytes out(m * a);
-  maps_->run(map_key(kRepairKey, target_index, chosen),
-             entry_planes(chosen, be, m), planes(out.data(), a, m), m,
+  maps_->run(map_key(kRepairKey, target_index, chosen), a, d * be, m,
+             entry_planes(chosen, be, m), planes(out.data(), m),
              [&](std::span<const std::uint8_t> x) {
                auto elem =
                    code_->repair(target_index, stripe_entries(chosen, x, be));

@@ -91,6 +91,12 @@ class StripedCode {
   std::vector<Bytes> encode_value(const Bytes& value,
                                   net::Engine* engine) const;
 
+  /// Elements [first, n) of encode_value(value, engine), byte for byte,
+  /// without computing elements [0, first): an LDS offload needs only C2's
+  /// coordinates.  Requires first < n().
+  std::vector<Bytes> encode_from(const Bytes& value, std::size_t first,
+                                 net::Engine* engine = nullptr) const;
+
   /// Reference encode: the stripewise path whatever the geometry.  Kept
   /// callable for the equivalence tests and as the baseline leg of
   /// bench_codes_micro; encode_value must match it byte for byte.
@@ -118,7 +124,7 @@ class StripedCode {
   Bytes frame(const Bytes& value) const;  // header + pad to stripe multiple
 
   std::vector<Bytes> encode_framed(const Bytes& framed, net::Engine* engine,
-                                   bool planar) const;
+                                   bool planar, std::size_t first) const;
 
   std::shared_ptr<const RegeneratingCode> code_;
   /// Probed maps, shared by every copy of this StripedCode (striped.cpp).

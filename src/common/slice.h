@@ -58,6 +58,7 @@ class Value {
   bool empty() const { return size() == 0; }
   Bytes::const_iterator begin() const { return bytes().begin(); }
   Bytes::const_iterator end() const { return bytes().end(); }
+  std::uint8_t operator[](std::size_t i) const { return bytes()[i]; }
 
   /// Borrow the bytes (empty singleton when the value is empty).  The
   /// reference is valid while this Value (or any copy) is alive.

@@ -133,7 +133,7 @@ void LdsCluster::recover_from_storage() {
   // completed client operation may have observed — still has >= k copies
   // among the overwritten WAL records.
   struct Candidates {
-    std::map<Tag, std::map<int, Bytes>> by_tag;  // tag -> coord -> element
+    std::map<Tag, std::map<int, Value>> by_tag;  // tag -> coord -> element
   };
   std::map<ObjectId, Candidates> objects;
   for (std::size_t i = 0; i < l2_.size(); ++i) {
@@ -173,10 +173,10 @@ void LdsCluster::recover_from_storage() {
     // reached a quorum (else they would have been chosen), so no client saw
     // them, and a uniform back layer is what keeps post-restart
     // regeneration live with zero further writes.
-    const auto& coded = ctx_->encoded_elements(obj, chosen, value);
+    const auto& coded = ctx_->c2_elements(obj, chosen, value);
     for (std::size_t i = 0; i < l2_.size(); ++i) {
       if (l2_[i]->stored_tag(obj) != chosen) {
-        l2_[i]->recovery_store(obj, chosen, coded[opt_.cfg.n1 + i]);
+        l2_[i]->recovery_store(obj, chosen, coded[i]);
       }
     }
     for (auto& l1 : l1_) l1->recover_committed(obj, chosen);

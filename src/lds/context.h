@@ -7,7 +7,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "codes/striped.h"
@@ -22,6 +24,13 @@ class Engine;
 }
 
 namespace lds::core {
+
+/// One helper response toward a regeneration: the responder's tag and its
+/// (code coordinate, helper data), the data shared with the message.
+struct TaggedHelper {
+  Tag tag;
+  codes::IndexedBytes helper;
+};
 
 struct LdsContext {
   LdsConfig cfg;
@@ -64,19 +73,30 @@ struct LdsContext {
   /// regeneration: n2 - f2 = f2 + d (Fig. 2 line 45).
   std::size_t regen_wait() const { return cfg.l2_quorum(); }
 
-  /// Coded element of the initial value v0 at one code coordinate
+  /// Coded element of the initial value v0 at one C2 coordinate n1 + i
   /// (memoized: every L2 server shares the same encoding of v0).
   const Value& initial_element(int code_index) const;
 
-  /// All n coded elements of `value` under (obj, t), memoized.  Encoding is
-  /// a pure function of the value, and tags are unique per write, so every
-  /// L1 server offloading the same committed write computes identical
-  /// elements; the cache removes the redundant O(n1) re-encodings from
-  /// simulation wall-clock time without changing any accounted cost.  Each
-  /// element is a shared handle, so the offload messages and the L2 state
-  /// that take it copy no bytes.
-  const std::vector<Value>& encoded_elements(ObjectId obj, Tag t,
-                                             const Bytes& value) const;
+  /// The n2 C2 elements of `value` under (obj, t), memoized: element i is
+  /// coordinate n1 + i, the one L2 server i stores.  Only C2 is encoded:
+  /// write-to-L2 (Fig. 2 lines 20-23) sends each L2 server its own
+  /// coordinate, and nothing reads C1's.  Encoding is a pure function of
+  /// the value, and tags are unique per write, so every L1 server
+  /// offloading the same committed write computes identical elements; the
+  /// cache removes the redundant O(n1) re-encodings from simulation
+  /// wall-clock time without changing any accounted cost.  Each element is
+  /// a shared handle, so the offload messages and the L2 state that take it
+  /// copy no bytes.
+  const std::vector<Value>& c2_elements(ObjectId obj, Tag t,
+                                        const Bytes& value) const;
+
+  /// Regenerate coordinate `target` from `helpers`: the newest tag on which
+  /// at least d helpers agree and whose helpers repair (Fig. 2 lines 45-51;
+  /// the L2 repair extension applies the same rule), as (tag, element).
+  /// Within a tag the helpers keep their arrival order.  Nullopt when no
+  /// tag qualifies.
+  std::optional<std::pair<Tag, Bytes>> regenerate(
+      int target, const std::vector<TaggedHelper>& helpers) const;
 
  private:
   struct CacheKey {
@@ -89,7 +109,7 @@ struct LdsContext {
       return TagHash()(k.tag) ^ (static_cast<std::size_t>(k.obj) * 0x9e3779b9u);
     }
   };
-  mutable std::vector<Value> initial_elements_;  // lazily filled, size n
+  mutable std::vector<Value> initial_elements_;  // lazily filled, size n2
   mutable std::unordered_map<CacheKey, std::vector<Value>, CacheKeyHash>
       encode_cache_;
 };

@@ -66,10 +66,11 @@ struct DataRespValue {
 /// A (tag, coded-element) response to a reader, produced by an internal
 /// regenerate-from-L2.  `code_index` identifies which coordinate of the code
 /// C this element is (the sending L1 server's index), needed to decode via C1.
+/// The element is a shared handle: the reader decodes from this buffer.
 struct DataRespCoded {
   Tag tag;
   int code_index = -1;
-  Bytes element;
+  Value element;
 };
 
 /// The (bot, bot) response: regeneration failed at this server.
@@ -122,10 +123,11 @@ struct QueryCodeElem {
 };
 
 /// SEND-HELPER-ELEM (Fig. 3 line 8): (r, t, h) - the reader identity rides in
-/// the OpId.
+/// the OpId.  The helper data is a shared handle: the regenerating server
+/// repairs from the buffer the helper computed.
 struct SendHelperElem {
   Tag tag;
-  Bytes helper;
+  Value helper;
 };
 
 /// The alternative ORDER is frozen: the wire codec (net/codec.h) uses the

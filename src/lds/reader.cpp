@@ -23,9 +23,8 @@ void Reader::finish() {
 }
 
 void Reader::send_to_l1(const LdsBody& body) {
-  for (NodeId s : ctx_->l1_ids) {
-    send(s, LdsMessage::make(obj_, op_, body));
-  }
+  const auto msg = LdsMessage::make(obj_, op_, body);
+  for (NodeId s : ctx_->l1_ids) send(s, msg);
 }
 
 void Reader::read(ObjectId obj, Callback cb) {

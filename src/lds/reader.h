@@ -89,7 +89,8 @@ class Reader final : public net::Node {
   bool have_value_ = false;
   Tag best_value_tag_;
   Value best_value_;
-  // Coded candidates per tag: (code coordinate, element) lists.
+  // Coded candidates per tag: (code coordinate, element) lists, the
+  // elements shared with the messages that carried them.
   std::map<Tag, std::vector<codes::IndexedBytes>> coded_;
 
   Tag result_tag_;

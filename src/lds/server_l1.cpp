@@ -4,6 +4,26 @@
 
 namespace lds::core {
 
+bool BroadcastDedup::consume(std::uint64_t id) {
+  Origin& o = origins_[static_cast<std::uint32_t>(id >> 32)];
+  const auto seq = static_cast<std::uint32_t>(id);
+  if (seq < o.floor) return false;
+  if (seq == o.floor) {
+    // Raise the floor past every out-of-order seq it now reaches.
+    ++o.floor;
+    auto it = o.above.begin();
+    for (; it != o.above.end() && *it == o.floor; ++it) ++o.floor;
+    window_ -= static_cast<std::size_t>(it - o.above.begin());
+    o.above.erase(o.above.begin(), it);
+    return true;
+  }
+  const auto it = std::lower_bound(o.above.begin(), o.above.end(), seq);
+  if (it != o.above.end() && *it == seq) return false;
+  o.above.insert(it, seq);
+  ++window_;
+  return true;
+}
+
 ServerL1::ServerL1(net::Network& net, std::shared_ptr<const LdsContext> ctx,
                    std::size_t index)
     : Node(net, ctx->l1_ids.at(index), Role::ServerL1),
@@ -137,13 +157,11 @@ void ServerL1::on_message(NodeId from, const net::MessagePtr& msg) {
           put_data_resp(obj, op, from, body);
         } else if constexpr (std::is_same_v<T, CommitTag>) {
           // Broadcast primitive: consume each instance exactly once; relay
-          // servers forward to all of L1 on first receipt, before consuming.
-          if (seen_bcasts_.contains(body.bcast_id)) return;
-          seen_bcasts_.insert(body.bcast_id);
+          // servers forward the message to all of L1 on first receipt,
+          // before consuming.
+          if (!seen_bcasts_.consume(body.bcast_id)) return;
           if (index_ < ctx_->relay_set_size()) {
-            for (NodeId peer : ctx_->l1_ids) {
-              send(peer, LdsMessage::make(obj, op, body));
-            }
+            for (NodeId peer : ctx_->l1_ids) send(peer, msg);
           }
           broadcast_resp(obj, op, body);
         } else if constexpr (std::is_same_v<T, AckCodeElem>) {
@@ -208,10 +226,9 @@ void ServerL1::bcast_commit(ObjectId obj, OpId op, Tag tag) {
   const std::uint64_t bcast_id =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id())) << 32) |
       bcast_seq_++;
+  const auto msg = LdsMessage::make(obj, op, CommitTag{tag, bcast_id});
   const std::size_t relays = ctx_->relay_set_size();
-  for (std::size_t j = 0; j < relays; ++j) {
-    send(ctx_->l1_ids[j], LdsMessage::make(obj, op, CommitTag{tag, bcast_id}));
-  }
+  for (std::size_t j = 0; j < relays; ++j) send(ctx_->l1_ids[j], msg);
 }
 
 void ServerL1::broadcast_resp(ObjectId obj, OpId op, const CommitTag& m) {
@@ -230,20 +247,21 @@ void ServerL1::commit_tag(ObjectId obj, OpId op, Tag t) {
   // the list): update tc, serve registered readers, garbage-collect older
   // values, offload to L2.
   ObjectState& st = object(obj);
+  const Tag old_tc = st.tc;
   st.tc = t;
   auto it = st.list.find(t);
   LDS_CHECK(it != st.list.end(), "commit_tag: tag not in list");
   if (!it->second.has_value()) {
     // The value was already offloaded and garbage-collected by an earlier
     // commit path; nothing to serve or offload.
-    garbage_collect(obj);
+    garbage_collect(obj, old_tc);
     return;
   }
   // Handle copy (refcount bump): serving + GC may erase the list entry, but
   // the shared buffer outlives it.
   const Value value = *it->second;
   serve_registered(obj, t, value);
-  garbage_collect(obj);
+  garbage_collect(obj, old_tc);
   // Attribute the internal write-to-L2 to the originating write operation
   // (Section II-d: write cost includes internal write-to-L2 costs).
   OpId write_op = op;
@@ -267,10 +285,13 @@ void ServerL1::serve_registered(ObjectId obj, Tag t, const Value& value) {
   }
 }
 
-void ServerL1::garbage_collect(ObjectId obj) {
+void ServerL1::garbage_collect(ObjectId obj, Tag old_tc) {
+  // Values enter the list only above tc, and the previous collection
+  // blanked every value below old_tc, so only [old_tc, tc) can hold one.
   ObjectState& st = object(obj);
-  for (auto& [t, v] : st.list) {
-    if (t < st.tc && v.has_value()) list_blank(st, t);
+  for (auto it = st.list.lower_bound(old_tc);
+       it != st.list.end() && it->first < st.tc; ++it) {
+    if (it->second.has_value()) list_blank(st, it->first);
   }
 }
 
@@ -279,11 +300,10 @@ void ServerL1::write_to_l2(ObjectId obj, OpId op, Tag tag,
   // Fig. 2 lines 20-23: encode with C2 and send each coordinate to its L2
   // server.  The element for L2 server i is coordinate n1 + i of C.
   object(obj).offload_sent.insert(tag);
-  const auto& elems = ctx_->encoded_elements(obj, tag, value);
-  const std::size_t n1 = ctx_->cfg.n1;
+  const auto& elems = ctx_->c2_elements(obj, tag, value);
   for (std::size_t i = 0; i < ctx_->cfg.n2; ++i) {
     send(ctx_->l2_ids[i],
-         LdsMessage::make(obj, op, WriteCodeElem{tag, elems[n1 + i]}));
+         LdsMessage::make(obj, op, WriteCodeElem{tag, elems[i]}));
   }
 }
 
@@ -335,11 +355,11 @@ void ServerL1::regenerate_from_l2(ObjectId obj, OpId op, NodeId reader,
                                   Tag treq) {
   ObjectState& st = object(obj);
   LDS_CHECK(!st.regen.contains(op), "regenerate_from_l2: duplicate read op");
-  st.regen.emplace(op, Regen{reader, treq, 0, {}});
-  for (NodeId l2 : ctx_->l2_ids) {
-    send(l2, LdsMessage::make(
-                 obj, op, QueryCodeElem{static_cast<int>(index_)}));
-  }
+  Regen& rg = st.regen.emplace(op, Regen{reader, treq, {}}).first->second;
+  rg.helpers.reserve(ctx_->regen_wait());
+  const auto msg =
+      LdsMessage::make(obj, op, QueryCodeElem{static_cast<int>(index_)});
+  for (NodeId l2 : ctx_->l2_ids) send(l2, msg);
 }
 
 void ServerL1::regenerate_complete(ObjectId obj, OpId op,
@@ -357,8 +377,9 @@ void ServerL1::regenerate_complete(ObjectId obj, OpId op,
     }
   }
   LDS_CHECK(l2_index >= 0, "regenerate_complete: helper not an L2 server");
-  rg.helpers.push_back(Regen::Helper{m.tag, l2_index, m.helper});
-  if (++rg.responses < ctx_->regen_wait()) return;
+  rg.helpers.push_back(TaggedHelper{
+      m.tag, {static_cast<int>(ctx_->cfg.n1) + l2_index, m.helper}});
+  if (rg.helpers.size() < ctx_->regen_wait()) return;
 
   // Fig. 2 lines 45-51: attempt to regenerate the highest tag with >= d
   // helper responses on a common tag; K[r] is cleared either way.
@@ -373,28 +394,12 @@ void ServerL1::regenerate_complete(ObjectId obj, OpId op,
       });
   if (!registered) return;
 
-  std::map<Tag, std::vector<codes::IndexedBytes>> by_tag;
-  for (const auto& h : done.helpers) {
-    by_tag[h.tag].emplace_back(static_cast<int>(ctx_->cfg.n1) + h.l2_index,
-                               h.payload);
-  }
-  const std::size_t need = ctx_->code.d();
-  Tag regen_tag = kTag0;
-  std::optional<Bytes> element;
-  for (auto rit = by_tag.rbegin(); rit != by_tag.rend(); ++rit) {
-    if (rit->second.size() < need) continue;
-    element = ctx_->code.repair_element(static_cast<int>(index_), rit->second);
-    if (element) {
-      regen_tag = rit->first;
-      break;
-    }
-  }
-
-  if (element && regen_tag >= done.treq) {
+  auto regen = ctx_->regenerate(static_cast<int>(index_), done.helpers);
+  if (regen && regen->first >= done.treq) {
     send(done.reader,
          LdsMessage::make(obj, op,
-                          DataRespCoded{regen_tag, static_cast<int>(index_),
-                                        std::move(*element)}));
+                          DataRespCoded{regen->first, static_cast<int>(index_),
+                                        std::move(regen->second)}));
   } else {
     send(done.reader, LdsMessage::make(obj, op, DataRespNack{}));
   }
@@ -423,11 +428,14 @@ void ServerL1::put_tag_resp(ObjectId obj, OpId op, NodeId reader,
       // Fig. 2 lines 62-65: first sighting of this tag; record it as
       // committed-but-valueless, serve whoever the best remaining value can
       // serve, then garbage-collect.
+      const Tag old_tc = st.tc;
       st.tc = m.tag;
       list_put(st, m.tag, std::nullopt);
+      // No value lies below old_tc (see garbage_collect).
       Tag tbar = kTag0;
       const Value* vbar = nullptr;
-      for (auto lit = st.list.rbegin(); lit != st.list.rend(); ++lit) {
+      for (auto lit = st.list.rbegin();
+           lit != st.list.rend() && lit->first >= old_tc; ++lit) {
         if (lit->first < st.tc && lit->second.has_value()) {
           tbar = lit->first;
           vbar = &*lit->second;
@@ -438,7 +446,7 @@ void ServerL1::put_tag_resp(ObjectId obj, OpId op, NodeId reader,
         const Value value = *vbar;  // handle copy: serving mutates gamma
         serve_registered(obj, tbar, value);
       }
-      garbage_collect(obj);
+      garbage_collect(obj, old_tc);
     }
   }
   // Durable mode: a read must not complete while the tag it exposes could

@@ -16,15 +16,16 @@
 //
 // The broadcast primitive (Section III, from [17]) is folded into this node:
 // on the *first* receipt of a COMMIT-TAG instance, a server belonging to the
-// fixed relay set S_{f1+1} forwards it to all of L1 before consuming it;
-// every server consumes each instance exactly once (dedup by bcast_id).
+// fixed relay set S_{f1+1} forwards the message it received to all of L1
+// before consuming it; every server consumes each instance exactly once
+// (dedup by bcast_id, see BroadcastDedup).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lds/context.h"
@@ -32,6 +33,32 @@
 #include "net/network.h"
 
 namespace lds::core {
+
+/// Exactly-once filter for COMMIT-TAG broadcast ids, in memory bounded by
+/// the broadcasts in flight instead of by every broadcast ever seen.  An id
+/// is (origin << 32) | seq, and each origin numbers its broadcasts 0, 1, 2,
+/// ...  Per origin the filter keeps a floor (every seq below it has been
+/// consumed) and the consumed seqs above the floor, which arrived out of
+/// order.  consume() answers exactly as a set of every consumed id would.
+class BroadcastDedup {
+ public:
+  /// True on the first receipt of `id` (the caller consumes it), false on
+  /// every later one.
+  bool consume(std::uint64_t id);
+
+  /// Consumed ids held above their origin's floor: the out-of-order window.
+  std::size_t window() const { return window_; }
+  /// Origins whose broadcasts have been seen.
+  std::size_t origins() const { return origins_.size(); }
+
+ private:
+  struct Origin {
+    std::uint64_t floor = 0;           ///< every seq below it was consumed
+    std::vector<std::uint32_t> above;  ///< consumed seqs above floor, sorted
+  };
+  std::unordered_map<std::uint32_t, Origin> origins_;
+  std::size_t window_ = 0;
+};
 
 class ServerL1 final : public net::Node {
  public:
@@ -61,6 +88,8 @@ class ServerL1 final : public net::Node {
   std::size_t registered_readers(ObjectId obj) const;
   /// Total bytes of values currently held for all objects (temporary cost).
   std::uint64_t stored_value_bytes() const { return value_bytes_; }
+  /// The COMMIT-TAG dedup state.
+  const BroadcastDedup& bcast_dedup() const { return seen_bcasts_; }
 
  private:
   struct GammaEntry {
@@ -72,14 +101,7 @@ class ServerL1 final : public net::Node {
   struct Regen {
     NodeId reader = kNoNode;
     Tag treq;
-    std::size_t responses = 0;
-    // (tag, helper payload, helper's L2 index) triples received so far.
-    struct Helper {
-      Tag tag;
-      int l2_index;
-      Bytes payload;
-    };
-    std::vector<Helper> helpers;
+    std::vector<TaggedHelper> helpers;  // the responses received so far
   };
 
   /// Durable mode: an ACK held back until the tag's offload is L2-durable.
@@ -140,8 +162,9 @@ class ServerL1 final : public net::Node {
   /// Serve and unregister every gamma entry with treq <= t (value known).
   void serve_registered(ObjectId obj, Tag t, const Value& value);
 
-  /// Replace (t', v) with (t', bot) for every t' < tc (Fig. 2 lines 18, 65).
-  void garbage_collect(ObjectId obj);
+  /// Replace (t', v) with (t', bot) for every t' < tc (Fig. 2 lines 18, 65),
+  /// after tc advanced from `old_tc`.
+  void garbage_collect(ObjectId obj, Tag old_tc);
 
   // List mutation helpers that keep the storage gauge consistent.
   void list_put(ObjectState& st, Tag t, std::optional<Value> v);
@@ -152,7 +175,7 @@ class ServerL1 final : public net::Node {
   std::shared_ptr<const LdsContext> ctx_;
   std::size_t index_;
   std::unordered_map<ObjectId, ObjectState> objects_;
-  std::unordered_set<std::uint64_t> seen_bcasts_;
+  BroadcastDedup seen_bcasts_;
   std::uint32_t bcast_seq_ = 0;
   std::uint64_t value_bytes_ = 0;
 };

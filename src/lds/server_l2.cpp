@@ -1,7 +1,6 @@
 #include "lds/server_l2.h"
 
 #include <algorithm>
-#include <map>
 
 namespace lds::core {
 
@@ -97,9 +96,8 @@ void ServerL2::broadcast_durable_ack(ObjectId obj, Tag tag) {
   // tag to all of L1; write_to_l2_complete treats it as the missing ack and
   // the durable watermark advances past every stuck older tag.
   if (tag == kTag0) return;
-  for (NodeId l1 : ctx_->l1_ids) {
-    send(l1, LdsMessage::make(obj, kNoOp, AckCodeElem{tag}));
-  }
+  const auto msg = LdsMessage::make(obj, kNoOp, AckCodeElem{tag});
+  for (NodeId l1 : ctx_->l1_ids) send(l1, msg);
 }
 
 void ServerL2::forget_object(ObjectId obj) {
@@ -146,14 +144,12 @@ void ServerL2::start_repair_round(ObjectId obj) {
     return;
   }
   --rep.rounds_left;
-  rep.responses = 0;
   rep.helpers.clear();
   const OpId op = make_op_id(id(), ++repair_seq_);
   repair_ops_[op] = obj;
+  const auto msg = LdsMessage::make(obj, op, QueryCodeElem{code_index()});
   for (std::size_t i = 0; i < ctx_->l2_ids.size(); ++i) {
-    if (i == index_) continue;
-    send(ctx_->l2_ids[i],
-         LdsMessage::make(obj, op, QueryCodeElem{code_index()}));
+    if (i != index_) send(ctx_->l2_ids[i], msg);
   }
 }
 
@@ -161,31 +157,23 @@ void ServerL2::finish_repair_round(ObjectId obj, OpId op) {
   Repair& rep = repairs_.at(obj);
   repair_ops_.erase(op);
 
-  std::map<Tag, std::vector<codes::IndexedBytes>> by_tag;
-  for (const auto& h : rep.helpers) {
-    by_tag[h.tag].emplace_back(static_cast<int>(ctx_->cfg.n1) + h.l2_index,
-                               h.payload);
-  }
-  const std::size_t need = ctx_->code.d();
-  for (auto it = by_tag.rbegin(); it != by_tag.rend(); ++it) {
-    if (it->second.size() < need) continue;
-    auto element = ctx_->code.repair_element(code_index(), it->second);
-    if (!element) continue;
-    const Tag tag = it->first;
-    // Keep whichever of (repaired, locally stored) is newer - a concurrent
-    // write-to-L2 may have landed during the repair round.  In durable mode
-    // the repaired element is re-persisted by store(), and the server
-    // announces its newest durable tag so acks lost to the pre-repair
-    // downtime cannot stall deferred durable acks at L1 (liveness).
-    if (tag > object(obj).tag) store(obj, tag, std::move(*element));
-    if (ctx_->durable_acks) broadcast_durable_ack(obj, object(obj).tag);
-    auto done = std::move(rep.done);
-    repairs_.erase(obj);
-    if (done) done(tag);
+  auto regen = ctx_->regenerate(code_index(), rep.helpers);
+  if (!regen) {
+    // No d-sized common-tag subset: a write-to-L2 was in flight.  Retry.
+    start_repair_round(obj);
     return;
   }
-  // No d-sized common-tag subset: a write-to-L2 was in flight.  Retry.
-  start_repair_round(obj);
+  const Tag tag = regen->first;
+  // Keep whichever of (repaired, locally stored) is newer - a concurrent
+  // write-to-L2 may have landed during the repair round.  In durable mode
+  // the repaired element is re-persisted by store(), and the server
+  // announces its newest durable tag so acks lost to the pre-repair
+  // downtime cannot stall deferred durable acks at L1 (liveness).
+  if (tag > object(obj).tag) store(obj, tag, std::move(regen->second));
+  if (ctx_->durable_acks) broadcast_durable_ack(obj, object(obj).tag);
+  auto done = std::move(rep.done);
+  repairs_.erase(obj);
+  if (done) done(tag);
 }
 
 // ---- message handling ----------------------------------------------------------
@@ -217,7 +205,7 @@ void ServerL2::on_message(NodeId from, const net::MessagePtr& msg) {
     // `target_index`, computed from the locally stored element alone.  The
     // same action serves both L1 regenerations and L2 peer repairs.
     const ObjectState& st = object(obj);
-    Bytes h = ctx_->code.helper_data(code_index(), st.element,
+    Value h = ctx_->code.helper_data(code_index(), st.element,
                                      q->target_index);
     send(from, LdsMessage::make(obj, op, SendHelperElem{st.tag, std::move(h)}));
     return;
@@ -239,11 +227,11 @@ void ServerL2::on_message(NodeId from, const net::MessagePtr& msg) {
     }
     LDS_CHECK(l2_index >= 0, "ServerL2 repair: helper not an L2 peer");
     Repair& rep = rit->second;
-    rep.helpers.push_back(
-        Repair::Helper{h->tag, l2_index, h->helper});
+    rep.helpers.push_back(TaggedHelper{
+        h->tag, {static_cast<int>(ctx_->cfg.n1) + l2_index, h->helper}});
     // Wait for f2 + d - 1 of the n2 - 1 peers (the replacement itself may
     // be the f2-th failure, so only f2 - 1 peers can still be down).
-    if (++rep.responses == ctx_->regen_wait() - 1) {
+    if (rep.helpers.size() == ctx_->regen_wait() - 1) {
       finish_repair_round(robj, op);
     }
     return;

@@ -95,13 +95,7 @@ class ServerL2 final : public net::Node {
   struct Repair {
     RepairCallback done;
     int rounds_left = 0;
-    std::size_t responses = 0;
-    struct Helper {
-      Tag tag;
-      int l2_index;
-      Bytes payload;
-    };
-    std::vector<Helper> helpers;
+    std::vector<TaggedHelper> helpers;  // this round's responses so far
   };
 
   ObjectState& object(ObjectId obj);

@@ -7,9 +7,8 @@ Writer::Writer(net::Network& net, std::shared_ptr<const LdsContext> ctx,
     : Node(net, id, Role::Writer), ctx_(std::move(ctx)), history_(history) {}
 
 void Writer::send_to_l1(const LdsBody& body) {
-  for (NodeId s : ctx_->l1_ids) {
-    send(s, LdsMessage::make(obj_, op_, body));
-  }
+  const auto msg = LdsMessage::make(obj_, op_, body);
+  for (NodeId s : ctx_->l1_ids) send(s, msg);
 }
 
 void Writer::write(ObjectId obj, Value value, Callback cb) {

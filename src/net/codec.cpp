@@ -63,7 +63,7 @@ class LdsCodec final : public FamilyCodec {
             [&](const DataRespCoded& b) {
               w.tag(b.tag);
               w.i32(b.code_index);
-              w.blob(b.element);
+              w.blob(b.element.bytes());
             },
             [&](const DataRespNack&) {},
             [&](const PutTag& b) { w.tag(b.tag); },
@@ -81,7 +81,7 @@ class LdsCodec final : public FamilyCodec {
             [&](const QueryCodeElem& b) { w.i32(b.target_index); },
             [&](const SendHelperElem& b) {
               w.tag(b.tag);
-              w.blob(b.helper);
+              w.blob(b.helper.bytes());
             },
         },
         m->body());
@@ -182,7 +182,9 @@ class LdsCodec final : public FamilyCodec {
         DataRespCoded b;
         if (!r.tag(&b.tag) || !r.i32(&b.code_index))
           return truncated("DataRespCoded header");
-        if (!r.blob(&b.element)) return truncated("DataRespCoded.element");
+        Bytes element;
+        if (!r.blob(&element)) return truncated("DataRespCoded.element");
+        b.element = Value(std::move(element));
         body = std::move(b);
         break;
       }
@@ -232,7 +234,9 @@ class LdsCodec final : public FamilyCodec {
       case 17: {
         SendHelperElem b;
         if (!r.tag(&b.tag)) return truncated("SendHelperElem.tag");
-        if (!r.blob(&b.helper)) return truncated("SendHelperElem.helper");
+        Bytes helper;
+        if (!r.blob(&helper)) return truncated("SendHelperElem.helper");
+        b.helper = Value(std::move(helper));
         body = std::move(b);
         break;
       }

@@ -59,13 +59,15 @@ void Network::send(NodeId from, Role from_role, NodeId to, MessagePtr msg) {
 
 void Network::deliver_local(NodeId from, NodeId to, MessagePtr msg,
                             SimTime delay) {
-  sim_.after(delay, [this, from, to, msg = std::move(msg)]() {
-    Node* dest = find(to);
-    if (dest == nullptr || dest->crashed()) return;  // reliable-iff-alive
-    if (observer_) observer_(from, to, *msg);
-    if (dest->crashed()) return;  // observer may have crashed it
-    dest->on_message(from, msg);
-  });
+  sim_.deliver_after(delay, this, from, to, std::move(msg));
+}
+
+void Network::deliver_now(NodeId from, NodeId to, const MessagePtr& msg) {
+  Node* dest = find(to);
+  if (dest == nullptr || dest->crashed()) return;  // reliable-iff-alive
+  if (observer_) observer_(from, to, *msg);
+  if (dest->crashed()) return;  // observer may have crashed it
+  dest->on_message(from, msg);
 }
 
 void Network::crash(NodeId id) {

@@ -6,6 +6,9 @@
 // *sender* crashes after sending.  We realize this by scheduling the delivery
 // event at send time; a delivery to a crashed node is silently dropped, and a
 // crashed node never sends again.
+//
+// Messages are immutable and shared: a fan-out sends one MessagePtr to every
+// destination, and each send is accounted on its own link.
 #pragma once
 
 #include <functional>
@@ -33,8 +36,6 @@ class Payload {
   virtual const char* type_name() const = 0;
   virtual OpId op() const { return kNoOp; }
 };
-
-using MessagePtr = std::shared_ptr<const Payload>;
 
 class Network;
 class Transport;  // net/transport.h: the message-delivery seam
@@ -97,7 +98,8 @@ class Network {
   void set_transport(std::unique_ptr<Transport> t);
   /// Deliver into a local node after `delay`: the InProcTransport path, and
   /// the entry point a remote transport uses when a frame arrives for a
-  /// node attached here.  Must run on the network's lane.
+  /// node attached here.  Must run on the network's lane.  The delivery is
+  /// a typed simulator event, not a closure.
   void deliver_local(NodeId from, NodeId to, MessagePtr msg, SimTime delay);
 
   /// Crash a node by id (no-op if unknown).
@@ -117,8 +119,12 @@ class Network {
 
  private:
   friend class Node;
+  friend class Simulator;
   void attach(Node* node);
   void detach(NodeId id);
+  /// A delivery event's turn: hand `msg` to `to` unless it is gone or
+  /// crashed (also by the observer, which sees the message first).
+  void deliver_now(NodeId from, NodeId to, const MessagePtr& msg);
 
   Simulator& sim_;
   std::unique_ptr<LatencyModel> latency_;

@@ -7,16 +7,27 @@
 // (time, insertion order), which makes runs deterministic for a fixed seed.
 // Asynchrony is modelled by randomized per-message latencies (see latency.h);
 // an adversary is approximated by exploring many seeds.
+//
+// Events come in two kinds that share one (time, insertion order) sequence:
+// closures (timers, posted tasks) and typed message deliveries.  A delivery
+// is a record (network, from, to, message) rather than a closure, so sending
+// a message allocates no function object.  The heap orders small trivially
+// copyable entries; the records themselves sit in reusable slots.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
+#include <memory>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/types.h"
 
 namespace lds::net {
+
+class Network;
+class Payload;
+using MessagePtr = std::shared_ptr<const Payload>;
 
 /// Simulated time.  Unit-free; the latency models define the scale (we use
 /// "1.0 == tau1" in most benches).
@@ -34,8 +45,14 @@ class Simulator {
   /// Schedule `fn` to run `delay` time units from now.
   void after(SimTime delay, Fn fn) { at(now_ + delay, std::move(fn)); }
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending() const { return queue_.size(); }
+  /// Schedule the delivery of `msg` from `from` to `to` on `net`, `delay`
+  /// time units from now.  At its turn the event runs `net`'s delivery
+  /// (drop if the destination is gone or crashed, observer, on_message).
+  void deliver_after(SimTime delay, Network* net, NodeId from, NodeId to,
+                     MessagePtr msg);
+
+  bool idle() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Run the next event; returns false when the queue is empty.
   bool step();
@@ -51,22 +68,56 @@ class Simulator {
   std::uint64_t events_executed() const { return executed_; }
 
  private:
-  struct Event {
+  /// One queued event: its order key and the slot of its record.
+  struct Entry {
     SimTime t;
     std::uint64_t seq;
-    Fn fn;
+    std::uint32_t slot;
+    bool delivery;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;  // FIFO among same-time events
     }
   };
+  struct Delivery {
+    Network* net = nullptr;
+    NodeId from = kNoNode;
+    NodeId to = kNoNode;
+    MessagePtr msg;
+  };
+  /// Records of queued events, in slots reused once their event has run.
+  template <typename T>
+  struct Slots {
+    std::vector<T> items;
+    std::vector<std::uint32_t> free;
+
+    std::uint32_t put(T item) {
+      if (free.empty()) {
+        items.push_back(std::move(item));
+        return static_cast<std::uint32_t>(items.size() - 1);
+      }
+      const std::uint32_t slot = free.back();
+      free.pop_back();
+      items[slot] = std::move(item);
+      return slot;
+    }
+    T take(std::uint32_t slot) {
+      T item = std::move(items[slot]);
+      free.push_back(slot);
+      return item;
+    }
+  };
+
+  void push(SimTime t, std::uint32_t slot, bool delivery);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Entry> heap_;  // a binary heap under Later
+  Slots<Fn> closures_;
+  Slots<Delivery> deliveries_;
 };
 
 }  // namespace lds::net

@@ -8,6 +8,9 @@
 #include <functional>
 #include <map>
 #include <ostream>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "lds/cluster.h"
@@ -65,6 +68,117 @@ TEST(Protocol, BroadcastConsumedExactlyOncePerServer) {
   for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
     EXPECT_EQ(c.l1(j).committed_tag(0), (Tag{1, 1}));
   }
+}
+
+TEST(Protocol, BroadcastDedupConsumesShuffledIdsExactlyOnce) {
+  // Three origins broadcast 2000 instances each.  Every instance arrives
+  // one to three times, each copy at a time in [seq, seq + kWindow], so by
+  // time t every seq below t - kWindow has arrived once: an origin holds at
+  // most kWindow + 1 consumed seqs above its floor.
+  constexpr std::uint32_t kSeqs = 2000;
+  constexpr std::size_t kWindow = 16;
+  const std::uint32_t origins[] = {kL1IdBase, kL1IdBase + 3, kL1IdBase + 5};
+  Rng rng(5);
+  std::vector<std::pair<double, std::uint64_t>> arrivals;  // (time, id)
+  for (const std::uint32_t origin : origins) {
+    for (std::uint32_t seq = 0; seq < kSeqs; ++seq) {
+      const std::uint64_t id = (std::uint64_t{origin} << 32) | seq;
+      for (auto copies = rng.uniform_int(1, 3); copies > 0; --copies) {
+        arrivals.emplace_back(seq + rng.uniform_real(0, kWindow), id);
+      }
+    }
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+
+  BroadcastDedup dedup;
+  std::set<std::uint64_t> consumed;
+  std::size_t wrong = 0, widest = 0;
+  for (const auto& [t, id] : arrivals) {
+    if (dedup.consume(id) != consumed.insert(id).second) ++wrong;
+    widest = std::max(widest, dedup.window());
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(consumed.size(), std::size(origins) * kSeqs);
+  EXPECT_LE(widest, std::size(origins) * (kWindow + 1));
+  EXPECT_GT(widest, 0u) << "the stream was never out of order";
+  EXPECT_EQ(dedup.window(), 0u);  // every floor caught up
+  EXPECT_EQ(dedup.origins(), std::size(origins));
+}
+
+TEST(Protocol, BroadcastDedupStateDoesNotGrowWithWrites) {
+  // One key written 10k times under heavy-tailed latency: the COMMIT-TAG
+  // dedup holds one floor per origin plus the out-of-order window, however
+  // many broadcasts each server has consumed.
+  auto opt = base_options();
+  opt.writers = 1;
+  opt.readers = 1;
+  opt.latency = LdsCluster::LatencyKind::Exponential;
+  LdsCluster c(opt);
+  Rng rng(6);
+  const Value v = rng.bytes(8);
+  std::size_t widest_first_1k = 0, widest = 0;
+  for (int w = 1; w <= 10000; ++w) {
+    c.write_sync(0, 0, v);
+    for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
+      widest = std::max(widest, c.l1(j).bcast_dedup().window());
+    }
+    if (w == 1000) widest_first_1k = widest;
+  }
+  c.settle();
+  EXPECT_GT(widest_first_1k, 0u) << "no broadcast arrived out of order";
+  EXPECT_LE(widest, 2 * widest_first_1k);
+  for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
+    EXPECT_EQ(c.l1(j).bcast_dedup().origins(), opt.cfg.n1);
+    EXPECT_EQ(c.l1(j).bcast_dedup().window(), 0u) << "server " << j;
+  }
+}
+
+TEST(Protocol, RegenerationKeepsHelperAndCodedBuffersShared) {
+  // A get that regenerates from L2: every L1 server repairs from the very
+  // buffers its L2 helpers computed, and the reader decodes from the very
+  // buffers the L1 servers regenerated.  The delivery observer keeps its
+  // own handle on each payload; a handle's owners beyond it are the
+  // server or reader that kept the buffer (the message itself is freed
+  // once delivered).
+  auto opt = base_options();
+  LdsCluster c(opt);
+  Rng rng(9);
+  c.write_sync(0, 0, rng.bytes(5000));
+  c.settle();  // offloaded: L1 keeps no value, so the get regenerates
+
+  std::map<std::pair<NodeId, OpId>, std::vector<Value>> helpers;
+  std::vector<Value> coded;
+  std::size_t checked = 0, shared = 0;
+  c.net().set_delivery_observer([&](NodeId, NodeId to, const net::Payload& p) {
+    const auto* m = dynamic_cast<const LdsMessage*>(&p);
+    if (m == nullptr) return;
+    if (const auto* h = std::get_if<SendHelperElem>(&m->body())) {
+      // Until this server's regeneration completes, it holds every earlier
+      // helper of the read.
+      auto& got = helpers[{to, m->op()}];
+      if (got.size() < c.ctx().regen_wait()) {
+        for (const Value& earlier : got) {
+          ++checked;
+          if (earlier.use_count() == 2) ++shared;
+        }
+      }
+      got.push_back(h->helper);
+    } else if (const auto* e = std::get_if<DataRespCoded>(&m->body())) {
+      coded.push_back(e->element);
+    }
+  });
+  c.read_sync(0, 0);
+  c.settle();
+
+  EXPECT_EQ(checked, opt.cfg.n1 * (c.ctx().regen_wait() - 1) *
+                         c.ctx().regen_wait() / 2);
+  EXPECT_EQ(shared, checked);
+  // The reader keeps the coded elements it decoded from until its next op.
+  ASSERT_GE(coded.size(), opt.cfg.k());
+  const auto kept =
+      std::count_if(coded.begin(), coded.end(),
+                    [](const Value& e) { return e.use_count() == 2; });
+  EXPECT_GE(static_cast<std::size_t>(kept), opt.cfg.k());
 }
 
 TEST(Protocol, RegisteredReaderServedByLaterCommit) {

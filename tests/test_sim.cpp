@@ -1,9 +1,13 @@
-// Discrete-event simulator: ordering, determinism, run_until semantics.
+// Discrete-event simulator: ordering, determinism, run_until semantics, and
+// typed delivery events sharing one order with closures.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "net/engine.h"
+#include "net/network.h"
 #include "net/sim.h"
 
 namespace lds::net {
@@ -70,6 +74,105 @@ TEST(Sim, RunWithEventBudget) {
   EXPECT_EQ(fired, 4);
   sim.run();
   EXPECT_EQ(fired, 10);
+}
+
+// ---- typed delivery events -------------------------------------------------
+
+class Note final : public Payload {
+ public:
+  explicit Note(std::string text) : text_(std::move(text)) {}
+  const std::string& text() const { return text_; }
+  std::uint64_t data_bytes() const override { return 0; }
+  std::uint64_t meta_bytes() const override { return 0; }
+  const char* type_name() const override { return "note"; }
+
+ private:
+  std::string text_;
+};
+
+/// Appends every delivered note to a log shared with the test's closures.
+class Logger final : public Node {
+ public:
+  Logger(Network& net, NodeId id, std::vector<std::string>& log)
+      : Node(net, id, Role::Other), log_(log) {}
+  void on_message(NodeId, const MessagePtr& msg) override {
+    log_.push_back(static_cast<const Note&>(*msg).text());
+  }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+struct DeliveryFixture {
+  SimEngine engine;
+  Simulator& sim = engine.sim();
+  Network net{engine, 0, std::make_unique<FixedLatency>(1.0, 1.0, 1.0), 1};
+  std::vector<std::string> log;
+  Logger a{net, 1, log};
+  Logger b{net, 2, log};
+
+  void note(NodeId to, const std::string& text, SimTime delay) {
+    net.deliver_local(0, to, std::make_shared<Note>(text), delay);
+  }
+  void closure(const std::string& text, SimTime t) {
+    sim.at(t, [this, text] { log.push_back(text); });
+  }
+};
+
+TEST(SimDelivery, SameTimeDeliveriesAndClosuresRunInInsertionOrder) {
+  DeliveryFixture f;
+  f.closure("c1", 1.0);
+  f.note(1, "d1", 1.0);
+  f.note(2, "d2", 1.0);
+  f.closure("c2", 1.0);
+  f.note(1, "d3", 1.0);
+  f.closure("c0", 0.5);  // earlier time still runs first
+  f.sim.run();
+  EXPECT_EQ(f.log,
+            (std::vector<std::string>{"c0", "c1", "d1", "d2", "c2", "d3"}));
+  EXPECT_EQ(f.sim.events_executed(), 6u);
+}
+
+TEST(SimDelivery, RunUntilPendingAndIdleCountBothKinds) {
+  DeliveryFixture f;
+  EXPECT_TRUE(f.sim.idle());
+  f.closure("c1", 1.0);
+  f.note(1, "d2", 2.0);
+  f.closure("c3", 3.0);
+  f.note(2, "d4", 4.0);
+  EXPECT_FALSE(f.sim.idle());
+  EXPECT_EQ(f.sim.pending(), 4u);
+
+  EXPECT_EQ(f.sim.run_until(2.0), 2u);
+  EXPECT_EQ(f.log, (std::vector<std::string>{"c1", "d2"}));
+  EXPECT_EQ(f.sim.pending(), 2u);
+  EXPECT_DOUBLE_EQ(f.sim.now(), 2.0);
+
+  EXPECT_EQ(f.sim.run_until(3.5), 1u);
+  EXPECT_EQ(f.sim.pending(), 1u);
+  EXPECT_DOUBLE_EQ(f.sim.now(), 3.5);
+
+  EXPECT_EQ(f.sim.run(), 1u);
+  EXPECT_TRUE(f.sim.idle());
+  EXPECT_EQ(f.log, (std::vector<std::string>{"c1", "d2", "c3", "d4"}));
+  EXPECT_DOUBLE_EQ(f.sim.now(), 4.0);
+}
+
+TEST(SimDelivery, DeliveryToNodeCrashedByObserverIsDropped) {
+  DeliveryFixture f;
+  std::vector<std::string> observed;
+  f.net.set_delivery_observer([&](NodeId, NodeId to, const Payload& p) {
+    observed.push_back(static_cast<const Note&>(p).text());
+    if (to == 2) f.net.crash(2);
+  });
+  f.note(1, "to-a", 1.0);
+  f.note(2, "to-b", 1.0);
+  f.note(2, "to-b-again", 2.0);  // already crashed: not even observed
+  f.sim.run();
+  EXPECT_EQ(observed, (std::vector<std::string>{"to-a", "to-b"}));
+  EXPECT_EQ(f.log, (std::vector<std::string>{"to-a"}));
+  EXPECT_TRUE(f.b.crashed());
+  EXPECT_TRUE(f.sim.idle());
 }
 
 TEST(SimDeath, PastSchedulingAborts) {

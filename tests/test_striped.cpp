@@ -346,7 +346,7 @@ void add_noise_and_shuffle(std::vector<IndexedBytes>& entries, Bytes extra,
   const int used = entries[pick].first;
   Bytes too_long = extra;
   too_long.push_back(0x42);
-  entries.emplace_back(used, codewords ? entries[pick].second : extra);
+  entries.emplace_back(used, codewords ? entries[pick].second : Value(extra));
   entries.emplace_back(-1, extra);
   entries.emplace_back(n, extra);
   entries.emplace_back(used, Bytes{});
@@ -434,6 +434,21 @@ TEST_P(PlanarVsStripewise, DecodeRepairAndHelperMatchPerStripeReference) {
   EXPECT_GT(decoded, 0) << "every decode case was rejected";
 }
 
+TEST_P(PlanarVsStripewise, EncodeFromIsTheEncodeTail) {
+  // The LDS offload encodes only C2, the last coordinates: the tail of the
+  // full encode byte for byte, on whichever path the size selects.
+  const auto& [name, size] = GetParam();
+  const StripedCode code = code_named(name);
+  const Bytes value = Rng(size + 3).bytes(size);
+  const auto elems = code.encode_value(value);
+  for (const std::size_t first : {std::size_t{1}, code.n() / 2, code.n() - 1}) {
+    const std::vector<Bytes> tail(elems.begin() + static_cast<long>(first),
+                                  elems.end());
+    EXPECT_EQ(code.encode_from(value, first), tail)
+        << name << " size=" << size << " first=" << first;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     CodesAndSizes, PlanarVsStripewise,
     ::testing::Combine(::testing::Values("pm-mbr", "rs", "replication",
@@ -462,6 +477,10 @@ TEST(StripedPaths, LargeGeometriesMatchPerStripeReference) {
     const auto elems = code.encode_value(value);
     EXPECT_EQ(elems, code.encode_value_stripewise(value)) << "n=" << n;
     EXPECT_EQ(code.encode_element(value, 3), elems[3]) << "n=" << n;
+    EXPECT_EQ(code.encode_from(value, n / 2),
+              std::vector<Bytes>(elems.begin() + static_cast<long>(n / 2),
+                                 elems.end()))
+        << "n=" << n;
 
     std::vector<IndexedBytes> coded;
     for (std::size_t i = n - k; i < n; ++i) {
