@@ -161,7 +161,7 @@ void AbdClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* r = std::get_if<AbdQueryResp>(&m->body())) {
     if (phase_ != Phase::Query) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (r->tag > max_tag_) {
       max_tag_ = r->tag;
       if (!is_write_) max_value_ = r->value;
@@ -186,7 +186,7 @@ void AbdClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* a = std::get_if<AbdUpdateAck>(&m->body())) {
     if (phase_ != Phase::Update || a->tag != update_tag_) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (responders_.size() < quorum) return;
     finish(update_tag_);
     return;

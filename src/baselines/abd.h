@@ -17,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -144,7 +143,7 @@ class AbdClient final : public net::Node {
   Tag max_tag_;
   Value max_value_;
   Tag update_tag_;
-  std::unordered_set<NodeId> responders_;
+  ResponderSet responders_;
 };
 
 // ---- harness ----------------------------------------------------------------

@@ -209,7 +209,7 @@ void CasClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* r = std::get_if<CasQueryResp>(&m->body())) {
     if (phase_ != Phase::Query) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (r->fin_tag > max_tag_) max_tag_ = r->fin_tag;
     if (responders_.size() < quorum) return;
 
@@ -237,7 +237,7 @@ void CasClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* a = std::get_if<CasPreAck>(&m->body())) {
     if (phase_ != Phase::Pre || a->tag != op_tag_) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (responders_.size() < quorum) return;
     enter_fin();
     return;
@@ -245,7 +245,7 @@ void CasClient::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* f = std::get_if<CasFinAck>(&m->body())) {
     if (phase_ != Phase::Fin || f->tag != op_tag_) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (!is_write_ && f->has_element) {
       read_elements_.emplace_back(server_index_.at(from), f->element);
     }

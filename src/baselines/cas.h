@@ -29,7 +29,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -181,7 +180,7 @@ class CasClient final : public net::Node {
   std::size_t history_index_ = 0;
   Tag max_tag_;
   Tag op_tag_;
-  std::unordered_set<NodeId> responders_;
+  ResponderSet responders_;
   std::vector<codes::IndexedBytes> read_elements_;
   std::unordered_map<NodeId, int> server_index_;
 };

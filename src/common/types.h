@@ -7,6 +7,7 @@
 // (client<->L1, L1<->L1, L1<->L2, ...) for latency and cost accounting.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <compare>
 #include <functional>
@@ -23,6 +24,25 @@ using Bytes = std::vector<std::uint8_t>;
 /// Identifier of a process (writer, reader, L1 server, or L2 server).
 using NodeId = std::int32_t;
 inline constexpr NodeId kNoNode = -1;
+
+/// The distinct nodes that answered one quorum phase.  Quorums are small and
+/// the set is only inserted into, sized and cleared, so a vector scan does
+/// the job, and its capacity survives clear(): a client allocates it once,
+/// not once per reply as a hash set does.
+class ResponderSet {
+ public:
+  /// False when `id` already answered.
+  bool insert(NodeId id) {
+    if (std::find(ids_.begin(), ids_.end(), id) != ids_.end()) return false;
+    ids_.push_back(id);
+    return true;
+  }
+  std::size_t size() const { return ids_.size(); }
+  void clear() { ids_.clear(); }
+
+ private:
+  std::vector<NodeId> ids_;
+};
 
 /// Identifier of an object in a multi-object deployment.  A single-object
 /// system simply uses object 0 everywhere (Section V runs N independent

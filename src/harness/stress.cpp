@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <unordered_map>
 
@@ -153,18 +154,6 @@ ShardEnv make_cluster_env(std::shared_ptr<core::Cluster> cluster,
   return env;
 }
 
-/// Repair churn for one LDS shard.  An L2 server holds its failure-budget
-/// slot from the moment it is crashed until its replacement finishes
-/// regenerating every object (under-repair servers answer with stale state,
-/// so they must count against f2 like crashed ones).
-struct LdsRepairChurn {
-  std::size_t repairs_done = 0;
-  /// Regenerates objects [obj, objects) on a replaced server in sequence.
-  /// Stored here (capturing this object by raw pointer) so it can re-enter
-  /// itself without shared_ptr cycles.
-  std::function<void(std::size_t, ObjectId)> repair_chain;
-};
-
 ShardEnv make_lds_env(const StressOptions& opt, std::uint64_t shard_seed) {
   core::LdsCluster::Options copt;
   copt.cfg.n1 = opt.n1;
@@ -183,48 +172,38 @@ ShardEnv make_lds_env(const StressOptions& opt, std::uint64_t shard_seed) {
   copt.seed = mix_seed(shard_seed, 1);
   auto cluster = std::make_shared<core::LdsCluster>(copt);
   auto budget = std::make_shared<core::FailureBudget>(cluster->fault_layers());
-  auto churn = std::make_shared<LdsRepairChurn>();
 
-  // Replace the crashed server, then regenerate each object in sequence;
-  // the budget slot frees only once every object converged.  The chain
-  // lives in *churn and captures it raw, so no shared_ptr cycles.
-  LdsRepairChurn* cp = churn.get();
-  core::FailureBudget* bp = budget.get();
-  churn->repair_chain = [cluster, cp, bp, opt](std::size_t victim,
-                                               ObjectId obj) {
-    if (obj >= opt.objects) {  // all objects regenerated: slot freed
-      bp->mark_up(core::LdsCluster::kL2, victim);
-      ++cp->repairs_done;
-      return;
-    }
-    cluster->l2(victim).repair_object(
-        obj, [cluster, cp, victim, obj](std::optional<Tag> t) {
-          if (t.has_value()) {
-            cp->repair_chain(victim, obj + 1);
-          } else {
-            // All rounds raced with concurrent write-to-L2 traffic; retry
-            // this object after a backoff.  The slot stays occupied.
-            cluster->sim().after(
-                5.0, [cp, victim, obj] { cp->repair_chain(victim, obj); });
-          }
-        });
-  };
-
+  // Repair churn: replace the crashed server, then regenerate every object
+  // in ascending order.  An L2 server holds its failure-budget slot from the
+  // moment it is crashed until its replacement holds every object again
+  // (under-repair servers answer with stale state, so they must count
+  // against f2 like crashed ones).
+  auto repairs_done = std::make_shared<std::size_t>(0);
   ShardEnv env = make_cluster_env(
       cluster, budget,
-      [cluster, churn, cp, opt](core::FailureBudget::Victim v, double delay,
-                                Rng& rng) {
+      [cluster, budget, repairs_done, rate = opt.repair_rate,
+       objects = opt.objects](core::FailureBudget::Victim v, double delay,
+                              Rng& rng) {
         const bool repair =
-            v.layer == core::LdsCluster::kL2 && rng.bernoulli(opt.repair_rate);
+            v.layer == core::LdsCluster::kL2 && rng.bernoulli(rate);
         const double repair_delay = delay + 2.0 + rng.exponential(5.0);
-        if (repair) {
-          cluster->sim().after(repair_delay, [cluster, cp, victim = v.index] {
-            cluster->replace_l2(victim);
-            cp->repair_chain(victim, 0);
-          });
-        }
+        if (!repair) return;
+        core::LdsCluster* c = cluster.get();
+        core::FailureBudget* bp = budget.get();
+        std::size_t* done = repairs_done.get();
+        c->sim().after(repair_delay, [c, bp, done, objects, victim = v.index] {
+          c->replace_l2(victim);
+          std::vector<ObjectId> all(objects);
+          std::iota(all.begin(), all.end(), ObjectId{0});
+          core::regenerate_objects(c->net(), c->ctx().l2_ids[victim],
+                                   std::move(all),
+                                   [bp, done, victim](core::RegenTally) {
+                                     bp->mark_up(core::LdsCluster::kL2, victim);
+                                     ++*done;
+                                   });
+        });
       });
-  env.repairs = &churn->repairs_done;
+  env.repairs = repairs_done.get();
   return env;
 }
 
@@ -348,9 +327,7 @@ ShardEnv make_store_env(const StressOptions& opt, std::uint64_t shard_seed,
   };
   env.outstanding = [service] { return service->outstanding(); };
   env.fill_store_stats = [service, client](ShardReport& rep) {
-    rep.repairs = service->repair() != nullptr
-                      ? service->repair()->servers_repaired()
-                      : 0;
+    rep.repairs = service->metrics().counter_total("repairs_completed");
     rep.batches = service->metrics().counter_total("batches");
     rep.coalesced = service->metrics().counter_total("puts_coalesced");
     rep.cache_hits = client->metrics().counter_total("cache_hits");

@@ -238,9 +238,9 @@ ServerL2& LdsCluster::replace_l2(std::size_t i) {
   std::unique_ptr<storage::Backend> backend;
   if (!opt_.data_dir.empty()) {
     // A replacement models a NEW disk: wipe the old one (possibly poisoned
-    // or stale) and start from an empty backend.  The subsequent
-    // repair_object() round re-persists the regenerated element through the
-    // ordinary store path, so durability survives reconfiguration churn.
+    // or stale) and start from an empty backend.  The regeneration that
+    // follows re-persists each rebuilt element through the ordinary store
+    // path, so durability survives reconfiguration churn.
     auto st = storage::wipe_dir(l2_dir(i));
     LDS_REQUIRE(st.ok(), ("replace_l2: wipe " + l2_dir(i) + ": " +
                           st.message())

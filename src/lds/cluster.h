@@ -111,7 +111,7 @@ class LdsCluster final : public Cluster {
   /// release: destruct the local server — its id detaches from the Network
   /// and frames route to the process the new view places it in.  adopt: the
   /// mirror image — construct a FRESH server under the id (state-sync via
-  /// repair_object follows, exactly the replace_l2 id-reuse path).
+  /// regenerate_objects follows, exactly the replace_l2 id-reuse path).
   void release_l1(std::size_t j);
   void release_l2(std::size_t i);
   ServerL1& adopt_l1(std::size_t j);
@@ -124,8 +124,8 @@ class LdsCluster final : public Cluster {
   /// with a fresh, empty process under the same id, returning the
   /// replacement.  This is the ONE id-reuse helper — both the store's repair
   /// path (store::RepairScheduler via core::RepairManager) and ad-hoc churn
-  /// (harness, tests) must go through it.  Call
-  /// l2(i).repair_object(obj, ...) afterwards to regenerate its contents
+  /// (harness, tests) must go through it.  Run regenerate_objects (or, for
+  /// one object, l2(i).repair_object) afterwards to rebuild its contents
   /// from the surviving peers.
   ServerL2& replace_l2(std::size_t i);
 

@@ -115,7 +115,7 @@ void Reader::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* t = std::get_if<CommTagResp>(&m->body())) {
     if (phase_ != Phase::GetCommittedTag) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (t->tag > treq_) treq_ = t->tag;
     if (responders_.size() < quorum) return;
     if (tag_only_) {
@@ -161,7 +161,7 @@ void Reader::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (std::get_if<PutTagAck>(&m->body()) != nullptr) {
     if (phase_ != Phase::PutTag) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (responders_.size() < quorum) return;
     finish();
     return;

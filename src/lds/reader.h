@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "lds/context.h"
@@ -84,7 +83,7 @@ class Reader final : public net::Node {
   std::size_t history_index_ = 0;
 
   Tag treq_;
-  std::unordered_set<NodeId> responders_;
+  ResponderSet responders_;
   // Value candidates: best (max-tag) (tag, value) seen so far.
   bool have_value_ = false;
   Tag best_value_tag_;

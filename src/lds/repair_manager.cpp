@@ -2,10 +2,16 @@
 
 namespace lds::core {
 
+namespace {
+// Node ids are per network, so every shard's manager can share one.
+constexpr NodeId kManagerId = 40000;
+constexpr double kBudgetRetry = 2.0;  // re-ask interval while the gate refuses
+}  // namespace
+
 RepairManager::RepairManager(net::Network& net,
                              std::shared_ptr<const LdsContext> ctx,
                              Options opt, ReplaceFn replace)
-    : Node(net, opt.node_id, Role::Other),
+    : Node(net, kManagerId, Role::Other),
       ctx_(std::move(ctx)),
       opt_(opt),
       replace_(std::move(replace)) {
@@ -57,52 +63,25 @@ void RepairManager::begin_repair(std::size_t l2_index) {
   if (opt_.acquire_slot && !opt_.acquire_slot(l2_index)) {
     // Budget exhausted (or the gate vetoed this victim for now): the server
     // stays suspected — excluded from heartbeats — and we re-ask later.
-    net_.sim().after(opt_.budget_retry,
+    net_.sim().after(kBudgetRetry,
                      [this, l2_index] { begin_repair(l2_index); });
     return;
   }
   // Ask the environment for a fresh replacement process (exactly once),
-  // then regenerate every tracked object on it, one at a time (sequential
-  // repair keeps the helper load on the surviving servers bounded).
-  ServerL2& fresh = replace_(l2_index);
-  std::vector<ObjectId> remaining(objects_.begin(), objects_.end());
-  repair_next_object(l2_index, &fresh, std::move(remaining));
-}
-
-void RepairManager::repair_next_object(std::size_t l2_index,
-                                       ServerL2* server,
-                                       std::vector<ObjectId> remaining) {
-  if (remaining.empty()) {
-    // Replacement fully restored: resume heartbeat coverage.
-    suspected_.erase(l2_index);
-    suspected_size_.store(suspected_.size(), std::memory_order_release);
-    last_seen_[l2_index] = net_.sim().now();
-    if (opt_.release_slot) opt_.release_slot(l2_index);
-    if (opt_.on_server_repaired) opt_.on_server_repaired(l2_index);
-    return;
-  }
-  const ObjectId obj = remaining.back();
-  remaining.pop_back();
-  ++repairs_started_;
-  server->repair_object(
-      obj, [this, l2_index, server, obj,
-            remaining = std::move(remaining)](std::optional<Tag> tag) mutable {
-        if (tag.has_value()) {
-          ++repairs_completed_;
-          repair_next_object(l2_index, server, std::move(remaining));
-          return;
-        }
-        // Every round raced concurrent write-to-L2 traffic; retry this
-        // object after a backoff instead of leaving the replacement without
-        // its data (the server stays suspected, so the failure budget still
-        // accounts for it).
-        ++repairs_failed_;
-        remaining.push_back(obj);
-        net_.sim().after(
-            opt_.object_retry,
-            [this, l2_index, server, remaining = std::move(remaining)]() mutable {
-              repair_next_object(l2_index, server, std::move(remaining));
-            });
+  // then regenerate every tracked object on it, highest id first.
+  replace_(l2_index);
+  regenerate_objects(
+      net_, ctx_->l2_ids[l2_index],
+      std::vector<ObjectId>(objects_.rbegin(), objects_.rend()),
+      [this, l2_index](RegenTally tally) {
+        repairs_completed_ += tally.repaired;
+        repairs_failed_ += tally.retried;
+        // Replacement fully restored: resume heartbeat coverage.
+        suspected_.erase(l2_index);
+        suspected_size_.store(suspected_.size(), std::memory_order_release);
+        last_seen_[l2_index] = net_.sim().now();
+        if (opt_.release_slot) opt_.release_slot(l2_index);
+        if (opt_.on_server_repaired) opt_.on_server_repaired(l2_index);
       });
 }
 

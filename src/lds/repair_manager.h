@@ -10,9 +10,8 @@
 //     with fixed delays <= tau2 a timeout > 2 tau2 + period never falsely
 //     suspects an alive server);
 //   * an orchestrator that, upon suspicion, asks the host environment to
-//     replace the server (LdsCluster::replace_l2) and then drives
-//     repair_object for every registered object on the replacement,
-//     re-trying objects whose repair round reports failure.
+//     replace the server (LdsCluster::replace_l2) and then regenerates every
+//     registered object on the replacement (regenerate_objects).
 //
 // The manager is itself a node on the simulated network, so its messages
 // ride the same channels and cost accounting as everything else (heartbeats
@@ -23,7 +22,6 @@
 #include <functional>
 #include <set>
 #include <unordered_map>
-#include <vector>
 
 #include "lds/context.h"
 #include "lds/heartbeat.h"
@@ -38,28 +36,20 @@ class RepairManager final : public net::Node {
   struct Options {
     double heartbeat_period = 5.0;  ///< ping interval (tau1 units)
     double suspect_after = 25.0;    ///< silence before declaring a crash
-    NodeId node_id = 40000;
     /// Optional concurrency gate (store::RepairScheduler): consulted with
     /// the victim's index before the replacement is requested; while it
-    /// returns false the manager re-asks every `budget_retry` time units.
+    /// returns false the manager re-asks every 2 time units.
     /// `release_slot` fires when that server's repair finishes.
     std::function<bool(std::size_t)> acquire_slot;
     std::function<void(std::size_t)> release_slot;
-    double budget_retry = 2.0;
-    /// Backoff before re-running a repair round that failed (i.e. raced
-    /// concurrent write-to-L2 traffic); the object is retried rather than
-    /// left unregenerated on the replacement.
-    double object_retry = 5.0;
     /// Fires once per repaired server, after every tracked object has been
     /// regenerated on its replacement.
     std::function<void(std::size_t)> on_server_repaired;
   };
 
   /// `replace` is the environment hook that swaps in a fresh server process
-  /// for L2 index i and returns a reference to it (LdsCluster::replace_l2 +
-  /// l2(i)).  `objects` is the set of objects whose contents the
-  /// replacement must regenerate.
-  using ReplaceFn = std::function<ServerL2&(std::size_t l2_index)>;
+  /// for L2 index i under the same id (LdsCluster::replace_l2).
+  using ReplaceFn = std::function<void(std::size_t l2_index)>;
 
   RepairManager(net::Network& net, std::shared_ptr<const LdsContext> ctx,
                 Options opt, ReplaceFn replace);
@@ -84,9 +74,10 @@ class RepairManager final : public net::Node {
   bool is_suspected(std::size_t l2_index) const {
     return suspected_.contains(l2_index);  // lane-local readers only
   }
-  /// Object-repair rounds attempted / converged / failed-and-retried.
+  /// Object repairs attempted / converged / failed-and-retried, counted
+  /// when each server's regeneration finishes.
   std::size_t repairs_started() const {
-    return repairs_started_.load(std::memory_order_relaxed);
+    return repairs_completed() + repairs_failed();
   }
   std::size_t repairs_completed() const {
     return repairs_completed_.load(std::memory_order_relaxed);
@@ -101,8 +92,6 @@ class RepairManager final : public net::Node {
   /// Claim a budget slot (retrying while the gate refuses), then replace
   /// the server and regenerate its objects.
   void begin_repair(std::size_t l2_index);
-  void repair_next_object(std::size_t l2_index, ServerL2* server,
-                          std::vector<ObjectId> remaining);
 
   std::shared_ptr<const LdsContext> ctx_;
   Options opt_;
@@ -113,7 +102,6 @@ class RepairManager final : public net::Node {
   std::unordered_map<std::size_t, net::SimTime> last_seen_;  // by L2 index
   std::set<std::size_t> suspected_;
   std::atomic<std::size_t> suspected_size_{0};  // == suspected_.size()
-  std::atomic<std::size_t> repairs_started_{0};
   std::atomic<std::size_t> repairs_completed_{0};
   std::atomic<std::size_t> repairs_failed_{0};
 };

@@ -4,6 +4,11 @@
 
 namespace lds::core {
 
+namespace {
+constexpr int kRepairRounds = 16;       // rounds per repair_object call
+constexpr double kRepairBackoff = 5.0;  // before re-running a failed object
+}  // namespace
+
 ServerL2::ServerL2(net::Network& net, std::shared_ptr<const LdsContext> ctx,
                    std::size_t index,
                    std::unique_ptr<storage::Backend> backend)
@@ -110,7 +115,7 @@ void ServerL2::forget_object(ObjectId obj) {
   // poisoned backend cannot persist it; the wipe in replace_l2 covers that.
   if (backend_ != nullptr) backend_->forget(obj);
   // Re-materializing via object() would resurrect (t0, c0); a repaired
-  // server instead fills the slot through repair_object().  Until then the
+  // server instead fills the slot through repair_object.  Until then the
   // server answers helper queries from the (t0, c0) default, which is the
   // best a fresh replacement could legitimately claim.
 }
@@ -123,16 +128,67 @@ const Bytes& ServerL2::stored_element(ObjectId obj) const {
 
 // ---- repair extension ---------------------------------------------------------
 
-void ServerL2::repair_object(ObjectId obj, RepairCallback done,
-                             int max_rounds) {
+void ServerL2::repair_object(ObjectId obj, RepairCallback done) {
   LDS_REQUIRE(!crashed(), "ServerL2::repair_object on crashed server");
-  LDS_REQUIRE(!repairs_.contains(obj),
-              "ServerL2::repair_object: repair already in progress");
+  if (auto it = repairs_.find(obj); it != repairs_.end()) {
+    // Two regeneration loops can cover one server (a move to an L2's
+    // current owner re-syncs it while an earlier sync still runs): the
+    // second caller shares the repair in flight.
+    it->second.done = [first = std::move(it->second.done),
+                       next = std::move(done)](std::optional<Tag> tag) {
+      if (first) first(tag);
+      if (next) next(tag);
+    };
+    return;
+  }
   Repair rep;
   rep.done = std::move(done);
-  rep.rounds_left = max_rounds;
+  rep.rounds_left = kRepairRounds;
   repairs_.emplace(obj, std::move(rep));
   start_repair_round(obj);
+}
+
+namespace {
+
+struct RegenLoop {
+  net::Network& net;
+  NodeId id;
+  std::vector<ObjectId> objects;
+  std::function<void(RegenTally)> done;
+  std::size_t next = 0;
+  RegenTally tally;
+};
+
+void regen_step(const std::shared_ptr<RegenLoop>& loop) {
+  auto* server = dynamic_cast<ServerL2*>(loop->net.find(loop->id));
+  if (loop->next == loop->objects.size() || server == nullptr ||
+      server->crashed()) {
+    loop->tally.missed =
+        static_cast<std::uint32_t>(loop->objects.size() - loop->next);
+    if (loop->done) loop->done(loop->tally);
+    return;
+  }
+  server->repair_object(loop->objects[loop->next],
+                        [loop](std::optional<Tag> tag) {
+                          if (tag.has_value()) {
+                            ++loop->tally.repaired;
+                            ++loop->next;
+                            regen_step(loop);
+                            return;
+                          }
+                          ++loop->tally.retried;
+                          loop->net.sim().after(kRepairBackoff,
+                                                [loop] { regen_step(loop); });
+                        });
+}
+
+}  // namespace
+
+void regenerate_objects(net::Network& net, NodeId id,
+                        std::vector<ObjectId> objects,
+                        std::function<void(RegenTally)> done) {
+  regen_step(std::make_shared<RegenLoop>(
+      RegenLoop{net, id, std::move(objects), std::move(done), 0, {}}));
 }
 
 void ServerL2::start_repair_round(ObjectId obj) {

@@ -22,6 +22,10 @@
 // later commits.  Quorum intersection makes a quiescent round succeed:
 // among any f2 + d - 1 peer responses, at least d carry the last completed
 // write's tag (n2 = 2 f2 + d).
+//
+// regenerate_objects is the one loop that drives repair_object over a
+// replacement's objects: heartbeat repair (RepairManager), the stress
+// harness's repair churn and membership state-sync all run it.
 #pragma once
 
 #include <functional>
@@ -57,12 +61,11 @@ class ServerL2 final : public net::Node {
   /// Repair extension: regenerate this server's (tag, element) pair for one
   /// object from its L2 peers.  `done(tag)` fires with the repaired tag when
   /// a round succeeds; failed rounds (concurrent write-to-L2 in flight)
-  /// retry automatically up to `max_rounds`, after which `done(nullopt)`
-  /// reports failure - in a correct deployment that indicates more than f2
-  /// back-end failures.
+  /// retry automatically up to 16 times, after which `done(nullopt)`
+  /// reports that every round raced a write.  A call for an object already
+  /// under repair joins that repair and gets its outcome.
   using RepairCallback = std::function<void(std::optional<Tag>)>;
-  void repair_object(ObjectId obj, RepairCallback done = {},
-                     int max_rounds = 16);
+  void repair_object(ObjectId obj, RepairCallback done = {});
 
   /// Drop all local state for one object (models a disk-replacement /
   /// restart-from-empty scenario before repair_object is called).
@@ -121,5 +124,25 @@ class ServerL2 final : public net::Node {
   std::unordered_map<ObjectId, Repair> repairs_;
   std::uint32_t repair_seq_ = 0;
 };
+
+/// What one regenerate_objects run did.
+struct RegenTally {
+  std::uint32_t repaired = 0;  ///< objects regenerated
+  std::uint32_t retried = 0;   ///< repair_object calls whose rounds all failed
+  std::uint32_t missed = 0;    ///< objects left when the server went away
+};
+
+/// The one L2 recovery loop: regenerate `objects`, in the caller's order, on
+/// the L2 server that `net` has attached under `id`, one repair_object at a
+/// time (sequential repair bounds the helper load on the surviving peers).
+/// An object whose rounds all failed is re-run after a backoff of 5 time
+/// units, never skipped.  The server is looked up again at every step, so
+/// one that a view change released (or that crashed) ends the loop, with the
+/// objects it did not reach counted as missed.  `done` fires on the
+/// network's lane — unless the server is destroyed while one of its rounds
+/// is in flight: the round's callback, and with it the loop, goes with it.
+void regenerate_objects(net::Network& net, NodeId id,
+                        std::vector<ObjectId> objects,
+                        std::function<void(RegenTally)> done);
 
 }  // namespace lds::core

@@ -37,7 +37,7 @@ void Writer::on_message(NodeId from, const net::MessagePtr& msg) {
   if (const auto* t = std::get_if<TagResp>(&m->body())) {
     // get-tag phase: await f1 + k responses, track the max tag.
     if (phase_ != Phase::GetTag) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (t->tag > max_tag_) max_tag_ = t->tag;
     if (responders_.size() < quorum) return;
 
@@ -54,7 +54,7 @@ void Writer::on_message(NodeId from, const net::MessagePtr& msg) {
 
   if (const auto* a = std::get_if<WriteAck>(&m->body())) {
     if (phase_ != Phase::PutData || a->tag != write_tag_) return;
-    if (!responders_.insert(from).second) return;
+    if (!responders_.insert(from)) return;
     if (responders_.size() < quorum) return;
 
     // Terminate (Fig. 1 line 8).

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
 
 #include "lds/context.h"
 #include "lds/messages.h"
@@ -51,7 +50,7 @@ class Writer final : public net::Node {
   std::size_t history_index_ = 0;
   Tag max_tag_;
   Tag write_tag_;
-  std::unordered_set<NodeId> responders_;
+  ResponderSet responders_;
 };
 
 }  // namespace lds::core

@@ -17,9 +17,13 @@
 //     -> resume dispatch
 //     -> state-sync: SyncL2 to processes that gained an L2 (they repair via
 //        the cross-process replace_l2 flow and answer SyncDone), and the
-//        host's repair hook for L2s that came home.  Sync failures degrade
-//        to "empty until the repair scheduler or next op repairs" — the
-//        protocol itself tolerates f2 missing L2 servers.
+//        host's repair hook for L2s that came home.  Both run the one L2
+//        recovery loop (core::regenerate_objects), which re-runs an object
+//        whose repair rounds all raced writes until it converges, and
+//        keeps running after the wait gives up (Timeouts::sync_s).  No
+//        repair scheduler runs under a fabric: a server whose loop cannot
+//        finish (its process died) stays partly empty until a later move
+//        or re-join syncs it again — the protocol tolerates f2 of those.
 //
 // The epoch-tagged envelope fencing (fabric.h) guarantees no server ever
 // processes a frame from a configuration other than its own.
@@ -51,7 +55,7 @@ class Coordinator {
     /// Objects currently interned on the fabric-backed shard.
     std::function<std::vector<ObjectId>()> objects;
     /// Regenerate L2 `index` (just adopted home) from its peers; `done`
-    /// fires with (repaired, failed) counts.
+    /// fires with (repaired, missed) object counts.
     std::function<void(std::size_t,
                        std::function<void(std::uint32_t, std::uint32_t)>)>
         repair_local;

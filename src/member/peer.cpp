@@ -129,7 +129,7 @@ void PeerHost::apply_view(const View&, const View& next) {
     const bool mine = next.process_of(id) == self;
     if (mine && l2_[i] == nullptr) {
       // Fresh and EMPTY: the coordinator's SyncL2 regenerates the contents
-      // through repair_object (the cross-process replace_l2 flow).
+      // through regenerate_objects (the cross-process replace_l2 flow).
       l2_[i] = std::make_unique<core::ServerL2>(*net_, ctx_, i, nullptr);
     } else if (!mine && l2_[i] != nullptr) {
       l2_[i].reset();
@@ -155,47 +155,33 @@ void PeerHost::on_control(NodeId conn, ProcessId, const MemberBody& body) {
 
 void PeerHost::handle_sync(NodeId conn, const SyncL2& sync) {
   if (!started_.load()) return;
-  engine_->post(0, [this, conn, sync] {
-    run_sync(conn, sync, /*next_obj=*/0, /*repaired=*/0, /*failed=*/0,
-             kSyncRetries);
-  });
+  engine_->post(0, [this, conn, sync] { run_sync(conn, sync, kSyncRetries); });
 }
 
-void PeerHost::run_sync(NodeId conn, SyncL2 sync, std::size_t next_obj,
-                        std::uint32_t repaired, std::uint32_t failed,
-                        int retries) {
+void PeerHost::run_sync(NodeId conn, SyncL2 sync, int retries) {
   const std::size_t i = sync.l2_index;
-  if (i >= l2_.size() || l2_[i] == nullptr) {
+  const bool local = i < l2_.size() && l2_[i] != nullptr;
+  if (!local && retries > 0) {
     // Activation may still be in flight on another thread; retry briefly.
-    if (retries > 0) {
-      fabric_.transport().after(kSyncRetryDelayS, [this, conn, sync, next_obj,
-                                                   repaired, failed,
-                                                   retries]() mutable {
-        engine_->post(0, [this, conn, sync = std::move(sync), next_obj,
-                          repaired, failed, retries] {
-          run_sync(conn, sync, next_obj, repaired, failed, retries - 1);
-        });
+    fabric_.transport().after(kSyncRetryDelayS, [this, conn, sync,
+                                                 retries]() mutable {
+      engine_->post(0, [this, conn, sync = std::move(sync), retries] {
+        run_sync(conn, sync, retries - 1);
       });
-      return;
-    }
-    failed += static_cast<std::uint32_t>(sync.objects.size() - next_obj);
-    next_obj = sync.objects.size();
-  }
-  if (next_obj >= sync.objects.size()) {
-    fabric_.send_control_conn(
-        conn, SyncDone{sync.epoch, sync.l2_index, repaired, failed});
+    });
     return;
   }
-  const ObjectId obj = sync.objects[next_obj];
-  l2_[i]->repair_object(obj, [this, conn, sync, next_obj, repaired,
-                              failed](std::optional<Tag> tag) mutable {
-    if (tag.has_value()) {
-      ++repaired;
-    } else {
-      ++failed;
-    }
-    run_sync(conn, sync, next_obj + 1, repaired, failed, kSyncRetries);
-  });
+  // Never activated: the loop finds no server and reports every object
+  // missed.
+  const NodeId id =
+      local ? core::kL2IdBase + static_cast<NodeId>(i) : kNoNode;
+  core::regenerate_objects(
+      *net_, id, std::move(sync.objects),
+      [this, conn, epoch = sync.epoch, index = sync.l2_index](
+          core::RegenTally t) {
+        fabric_.send_control_conn(conn,
+                                  SyncDone{epoch, index, t.repaired, t.missed});
+      });
 }
 
 void PeerHost::request_view(double now) {

@@ -9,9 +9,9 @@
 // view-change hook (on this host's lane) constructs and destroys ServerL1 /
 // ServerL2 instances to match each new view's placement.  Freshly adopted L2
 // servers start EMPTY — the coordinator follows up with SyncL2 listing the
-// objects to regenerate, which runs the ordinary repair_object path against
-// the surviving peers (the replace_l2 id-reuse flow, stretched across
-// processes) and answers SyncDone.
+// objects to regenerate, which runs the one L2 recovery loop
+// (core::regenerate_objects) against the surviving peers (the replace_l2
+// id-reuse flow, stretched across processes) and answers SyncDone.
 //
 // Catch-up: any signal that this process is behind (a StaleEpoch nack, an
 // envelope under a newer epoch, a nacked activation) triggers a rate-limited
@@ -72,11 +72,10 @@ class PeerHost {
   void apply_view(const View& prev, const View& next);  // on lane
   void on_control(NodeId conn, ProcessId from, const MemberBody& body);
   void handle_sync(NodeId conn, const SyncL2& sync);
-  /// Sequentially repair `objects` on L2 server `index`, then reply
-  /// SyncDone on `conn`.  Runs on the lane; retries (bounded) while the
-  /// server is not yet constructed (activation may race the sync request).
-  void run_sync(NodeId conn, SyncL2 sync, std::size_t next_obj,
-                std::uint32_t repaired, std::uint32_t failed, int retries);
+  /// Regenerate the listed objects on L2 server `index`, then reply
+  /// SyncDone on `conn`.  Runs on the lane; waits (bounded) for the server
+  /// to be constructed first (activation may race the sync request).
+  void run_sync(NodeId conn, SyncL2 sync, int retries);
   void request_view(double now);
 
   Options opt_;

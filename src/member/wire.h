@@ -23,7 +23,7 @@
 //   ViewPropose(view) -> ViewAck(epoch)      propose to every member
 //   [quiesce in-flight ops]                  coordinator-local
 //   ViewActivate(epoch) -> ViewAck(epoch)    flip + fence, ack'd
-//   SyncL2(epoch, index, objects) -> SyncDone state-sync via repair_object
+//   SyncL2(epoch, index, objects) -> SyncDone  regenerate a moved L2
 #pragma once
 
 #include <cstdint>
@@ -73,7 +73,7 @@ struct ViewActivate {
 /// Ask the coordinator to resend the active view (propose + activate).
 struct ViewFetch {};
 /// Coordinator -> peer: rebuild L2 server `l2_index` from its quorum peers
-/// (ServerL2::repair_object over the fabric) for each listed object.
+/// (core::regenerate_objects over the fabric) for each listed object.
 struct SyncL2 {
   std::uint64_t epoch = 0;
   std::uint32_t l2_index = 0;
@@ -83,7 +83,7 @@ struct SyncDone {
   std::uint64_t epoch = 0;
   std::uint32_t l2_index = 0;
   std::uint32_t repaired = 0;
-  std::uint32_t failed = 0;
+  std::uint32_t failed = 0;  ///< objects left when the server went away
 };
 
 /// Alternative order frozen: the wire codec uses the variant index as the

@@ -14,45 +14,36 @@ void RepairScheduler::attach_shard(std::size_t shard,
                                    std::size_t lane) {
   LDS_REQUIRE(!managers_.contains(shard),
               "RepairScheduler: shard already attached");
-  lane_of_shard_[shard] = lane;
-  const std::size_t budget_key =
-      opt_.budget_scope == BudgetScope::PerLane ? lane : 0;
   core::RepairManager::Options mopt;
   mopt.heartbeat_period = opt_.heartbeat_period;
   mopt.suspect_after = opt_.suspect_after;
-  mopt.node_id = opt_.manager_id;  // ids are per-network; shards don't clash
-  mopt.budget_retry = opt_.budget_retry;
-  mopt.object_retry = opt_.object_retry;
-  mopt.acquire_slot = [this, shard, budget_key,
+  mopt.acquire_slot = [this, shard, lane,
                        may_replace = std::move(may_replace)](std::size_t i) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (in_flight_by_lane_[budget_key] >= opt_.max_concurrent) return false;
+    if (in_flight_by_lane_[lane] >= opt_.max_concurrent) return false;
     if (may_replace && !may_replace(i)) return false;
-    ++in_flight_by_lane_[budget_key];
+    ++in_flight_by_lane_[lane];
     ++in_flight_total_;
     peak_in_flight_ = std::max(peak_in_flight_, in_flight_total_);
-    if (metrics_) metrics_->counter("repairs_started", shard).inc();
+    metrics_.counter("repairs_started", shard).inc();
     return true;
   };
-  mopt.release_slot = [this, budget_key](std::size_t) {
+  mopt.release_slot = [this, lane](std::size_t) {
     std::lock_guard<std::mutex> lock(mu_);
-    --in_flight_by_lane_[budget_key];
+    --in_flight_by_lane_[lane];
     --in_flight_total_;
   };
   mopt.on_server_repaired = [this, shard,
                              on_repaired =
                                  std::move(on_repaired)](std::size_t i) {
-    servers_repaired_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->counter("repairs_completed", shard).inc();
+    metrics_.counter("repairs_completed", shard).inc();
     if (on_repaired) on_repaired(i);
   };
   auto manager = std::make_unique<core::RepairManager>(
       cluster.net(), cluster.ctx_ptr(), mopt,
-      [&cluster, on_replaced = std::move(on_replaced)](std::size_t i)
-          -> core::ServerL2& {
-        core::ServerL2& fresh = cluster.replace_l2(i);
+      [&cluster, on_replaced = std::move(on_replaced)](std::size_t i) {
+        cluster.replace_l2(i);
         if (on_replaced) on_replaced(i);
-        return fresh;
       });
   managers_.emplace(shard, std::move(manager));
 }
@@ -96,12 +87,6 @@ std::size_t RepairScheduler::peak_in_flight() const {
 std::size_t RepairScheduler::object_rounds_started() const {
   std::size_t n = 0;
   for (const auto& [shard, m] : managers_) n += m->repairs_started();
-  return n;
-}
-
-std::size_t RepairScheduler::object_rounds_failed() const {
-  std::size_t n = 0;
-  for (const auto& [shard, m] : managers_) n += m->repairs_failed();
   return n;
 }
 

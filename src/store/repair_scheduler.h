@@ -11,11 +11,10 @@
 //
 // Thread-safety: the budget and aggregate counters are mutex-guarded and the
 // per-manager introspection it sums is atomic, because under a
-// ParallelEngine each manager runs on its shard's lane.  The budget can be
-// scoped globally (Deterministic mode: one simulator, one budget — the
-// pre-engine behavior, bit-identical) or per lane (Parallel mode: each
-// engine lane gets its own max_concurrent, so repair admission never makes
-// one lane wait on another's backlog).
+// ParallelEngine each manager runs on its shard's lane.  The budget is kept
+// per engine lane, so repair admission never makes one lane wait on
+// another's backlog; under a SimEngine every shard is on lane 0 and shares
+// one budget.
 #pragma once
 
 #include <functional>
@@ -31,23 +30,14 @@ namespace lds::store {
 
 class RepairScheduler {
  public:
-  /// What the max_concurrent budget applies to.
-  enum class BudgetScope { Global, PerLane };
-
   struct Options {
-    /// Cap on servers being repaired at once, per budget scope.
+    /// Cap on servers being repaired at once, per engine lane.
     std::size_t max_concurrent = 2;
-    BudgetScope budget_scope = BudgetScope::Global;
     double heartbeat_period = 2.0;
     double suspect_after = 9.0;
-    /// Re-ask interval while the budget (or a shard veto) defers a
-    /// repair, and backoff for object rounds that raced writes.
-    double budget_retry = 2.0;
-    double object_retry = 5.0;
-    NodeId manager_id = 40000;
   };
 
-  explicit RepairScheduler(Options opt, MetricsRegistry* metrics = nullptr)
+  RepairScheduler(Options opt, MetricsRegistry& metrics)
       : opt_(opt), metrics_(metrics) {}
 
   /// Route a shard's manager start/stop onto its execution lane (required
@@ -77,13 +67,9 @@ class RepairScheduler {
 
   std::size_t in_flight() const;
   std::size_t peak_in_flight() const;
-  /// Servers fully restored (every tracked object regenerated).
-  std::size_t servers_repaired() const {
-    return servers_repaired_.load(std::memory_order_relaxed);
-  }
-  /// Object-repair rounds attempted / failed-and-retried, across shards.
+  /// Object repairs attempted, across shards (servers fully restored are
+  /// the registry's `repairs_completed` counter).
   std::size_t object_rounds_started() const;
-  std::size_t object_rounds_failed() const;
   /// Servers currently suspected (crashed, under repair, or queued for the
   /// budget) across shards.
   std::size_t suspected() const;
@@ -91,24 +77,19 @@ class RepairScheduler {
   /// driving thread while lanes run.
   bool quiet() const { return suspected() == 0 && in_flight() == 0; }
 
-  core::RepairManager& manager(std::size_t shard) {
-    return *managers_.at(shard);
-  }
   bool has_shard(std::size_t shard) const {
     return managers_.contains(shard);
   }
 
  private:
   Options opt_;
-  MetricsRegistry* metrics_;
+  MetricsRegistry& metrics_;
   Post post_;
   std::map<std::size_t, std::unique_ptr<core::RepairManager>> managers_;
-  std::map<std::size_t, std::size_t> lane_of_shard_;
   mutable std::mutex mu_;  ///< guards the budget accounting below
   std::map<std::size_t, std::size_t> in_flight_by_lane_;
   std::size_t in_flight_total_ = 0;
   std::size_t peak_in_flight_ = 0;
-  std::atomic<std::size_t> servers_repaired_{0};
 };
 
 }  // namespace lds::store

@@ -224,13 +224,7 @@ StoreService::StoreService(StoreOptions opt)
   // regeneration; the heartbeat-driven scheduler would race view surgery
   // (its "crashed" verdict cannot tell a moved server from a dead one).
   if (opt_.enable_repair && any_lds && fabric == nullptr) {
-    RepairScheduler::Options ropt = opt_.repair;
-    // Per-lane budgets keep repair admission engine-local: one lane's
-    // backlog never delays another lane's regeneration.
-    if (parallel_) {
-      ropt.budget_scope = RepairScheduler::BudgetScope::PerLane;
-    }
-    repair_ = std::make_unique<RepairScheduler>(ropt, &metrics_);
+    repair_ = std::make_unique<RepairScheduler>(opt_.repair, metrics_);
     repair_->set_post([this](std::size_t shard, std::function<void()> fn) {
       engine_->post(shards_.at(shard)->lane, std::move(fn));
     });
@@ -290,9 +284,13 @@ StoreService::StoreService(StoreOptions opt)
     hooks.resume = [this] { resume_dispatch(); };
     hooks.objects = [this] { return member_objects(); };
     hooks.repair_local =
-        [this](std::size_t i,
-               std::function<void(std::uint32_t, std::uint32_t)> done) {
-          member_repair_local(i, std::move(done));
+        [this, sh](std::size_t i,
+                   std::function<void(std::uint32_t, std::uint32_t)> done) {
+          engine_->post(sh->lane, [sh, i, done = std::move(done)] {
+            core::regenerate_objects(
+                sh->lds->net(), sh->lds->ctx().l2_ids.at(i), object_ids(*sh),
+                [done](core::RegenTally t) { done(t.repaired, t.missed); });
+          });
         };
     coordinator_ =
         std::make_unique<member::Coordinator>(*fabric, std::move(hooks));
@@ -985,52 +983,22 @@ void StoreService::apply_member_view(const member::View&,
   }
 }
 
+std::vector<ObjectId> StoreService::object_ids(const Shard& sh) {
+  std::vector<ObjectId> out;
+  out.reserve(sh.objects.size());
+  for (const auto& [key, obj] : sh.objects) out.push_back(obj);
+  return out;
+}
+
 std::vector<ObjectId> StoreService::member_objects() {
   Shard* sh = shards_[0].get();
   auto done = std::make_shared<std::promise<std::vector<ObjectId>>>();
   auto fut = done->get_future();
-  engine_->post(sh->lane, [sh, done] {
-    std::vector<ObjectId> out;
-    out.reserve(sh->objects.size());
-    for (const auto& [key, obj] : sh->objects) out.push_back(obj);
-    done->set_value(std::move(out));
-  });
+  engine_->post(sh->lane, [sh, done] { done->set_value(object_ids(*sh)); });
   if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
     return {};
   }
   return fut.get();
-}
-
-void StoreService::member_repair_local(
-    std::size_t l2_index,
-    std::function<void(std::uint32_t, std::uint32_t)> done) {
-  Shard* sh = shards_[0].get();
-  engine_->post(sh->lane, [this, sh, l2_index, done = std::move(done)]() mutable {
-    auto objects = std::make_shared<std::vector<ObjectId>>();
-    objects->reserve(sh->objects.size());
-    for (const auto& [key, obj] : sh->objects) objects->push_back(obj);
-    member_repair_step(l2_index, std::move(objects), 0, 0, 0, std::move(done));
-  });
-}
-
-void StoreService::member_repair_step(
-    std::size_t l2_index, std::shared_ptr<std::vector<ObjectId>> objects,
-    std::size_t next, std::uint32_t repaired, std::uint32_t failed,
-    std::function<void(std::uint32_t, std::uint32_t)> done) {
-  Shard* sh = shards_[0].get();
-  if (next >= objects->size() || !sh->lds->l2_local(l2_index)) {
-    if (done) done(repaired, failed);
-    return;
-  }
-  sh->lds->l2(l2_index).repair_object(
-      (*objects)[next],
-      [this, l2_index, objects, next, repaired, failed,
-       done = std::move(done)](std::optional<Tag> tag) mutable {
-        member_repair_step(l2_index, objects, next + 1,
-                           repaired + (tag.has_value() ? 1 : 0),
-                           failed + (tag.has_value() ? 0 : 1),
-                           std::move(done));
-      });
 }
 
 }  // namespace lds::store

@@ -450,15 +450,8 @@ class StoreService {
   /// Membership plumbing (Options::fabric; all act on shard 0).
   void apply_member_view(const member::View& prev, const member::View& next);
   std::vector<ObjectId> member_objects();
-  void member_repair_local(std::size_t l2_index,
-                           std::function<void(std::uint32_t, std::uint32_t)>
-                               done);
-  void member_repair_step(std::size_t l2_index,
-                          std::shared_ptr<std::vector<ObjectId>> objects,
-                          std::size_t next, std::uint32_t repaired,
-                          std::uint32_t failed,
-                          std::function<void(std::uint32_t, std::uint32_t)>
-                              done);
+  /// Every ObjectId interned on `sh` (on its lane).
+  static std::vector<ObjectId> object_ids(const Shard& sh);
 
   StoreOptions opt_;
   bool parallel_ = false;

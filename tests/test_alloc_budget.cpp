@@ -41,7 +41,9 @@ constexpr std::size_t kValueBytes = 16 * 1024;
 constexpr std::size_t kKeys = 64;
 // Budgets per call.  Before deliveries became typed simulator events and
 // fan-outs and get-path payloads became shared, this path made 656
-// allocations per get and 535 per put.
+// allocations per get and 535 per put; with a hash set of quorum responders
+// per client (one node per reply) it made 237 and 191.  It now makes 222
+// and 181.
 constexpr double kGetBudget = 250;
 constexpr double kPutBudget = 250;
 

@@ -115,6 +115,29 @@ TEST(L2Repair, RepairRetriesThroughConcurrentWrite) {
             c.ctx().code.encode_element(v2, c.l2(2).code_index()));
 }
 
+TEST(L2Repair, SecondRepairOfAnObjectJoinsTheOneInFlight) {
+  // Two callers asking for the same object share one repair (two
+  // regeneration loops cover one server when a move re-syncs an L2 on its
+  // current owner while an earlier sync still runs).
+  auto opt = base_options();
+  LdsCluster c(opt);
+  Rng rng(5);
+  const Tag wt = c.write_sync(0, 0, rng.bytes(80));
+  c.settle();
+  c.replace_l2(4);
+  std::vector<std::optional<Tag>> outcomes;
+  for (int i = 0; i < 2; ++i) {
+    c.l2(4).repair_object(0, [&](std::optional<Tag> t) {
+      outcomes.push_back(t);
+    });
+  }
+  c.settle();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0], std::optional<Tag>(wt));
+  EXPECT_EQ(outcomes[1], std::optional<Tag>(wt));
+  EXPECT_EQ(c.l2(4).stored_tag(0), wt);
+}
+
 TEST(L2Repair, UntouchedObjectRepairsToInitialState) {
   auto opt = base_options();
   opt.cfg.initial_value = Bytes{5, 5, 5, 5};

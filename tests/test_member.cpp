@@ -408,6 +408,22 @@ TEST(MemberIntegration, StoreSpansPeerAndMovesBack) {
   EXPECT_GE(mepoch, 3u);
   EXPECT_EQ(fabric.epoch(), mepoch);
 
+  // The move home regenerated L2s 6 and 7 on the head: each holds every key
+  // written before the move at a written tag, not the (t0, c0) an adopted
+  // server starts from.  Server state is lane-confined: read it there.
+  std::promise<std::vector<Tag>> home_tags;
+  svc.engine().post(svc.shard_lane(0), [&] {
+    std::vector<Tag> tags;
+    core::LdsCluster& c = *svc.shard_lds(0);
+    for (ObjectId obj = 0; obj < svc.shard_objects(0); ++obj) {
+      for (const std::size_t i : {6, 7}) tags.push_back(c.l2(i).stored_tag(obj));
+    }
+    home_tags.set_value(std::move(tags));
+  });
+  const std::vector<Tag> tags = home_tags.get_future().get();
+  EXPECT_EQ(tags.size(), 4u * 2);  // key-0 .. key-3 on both servers
+  for (const Tag& t : tags) EXPECT_GT(t, kTag0);
+
   for (int i = 0; i < 8; ++i) {
     const std::string key = "key-" + std::to_string(i % 4);
     const auto g = svc.get_sync(key);

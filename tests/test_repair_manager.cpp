@@ -251,6 +251,44 @@ TEST(RepairManager, MultiObjectRepairUnderLoadConvergesAllObjects) {
   EXPECT_TRUE(f.cluster->history().check_atomicity({}).ok);
 }
 
+TEST(RegenerationLoop, RetriesAnObjectUntilAWriteReunitesItsPeers) {
+  // Peers on two different tags fail every repair round (no d helpers
+  // agree), so the loop's first call exhausts its rounds.  The loop must
+  // re-run the object after its backoff, not skip it, and converge once a
+  // write brings the peers back to one tag.
+  Fixture f;  // n2 = 8, f2 = 2, d = 4: a round uses the first 5 of 7 peers
+  Rng rng(11);
+  const Tag t1 = f.cluster->write_sync(0, 0, rng.bytes(64));
+  f.cluster->settle();
+  // L2s 0-2 fall back to (t0, c0), 3-5 keep t1 and 6 is down, so any five
+  // responses hold at most three on a common tag.
+  for (std::size_t i = 0; i < 3; ++i) f.cluster->l2(i).forget_object(0);
+  f.cluster->crash_l2(6);
+  f.cluster->replace_l2(7);
+
+  std::optional<RegenTally> tally;
+  const net::SimTime start = f.cluster->sim().now();
+  regenerate_objects(f.cluster->net(), f.cluster->ctx().l2_ids[7],
+                     std::vector<ObjectId>{0},
+                     [&](RegenTally t) { tally = t; });
+  f.cluster->sim().run_until(start + 300.0);
+  EXPECT_FALSE(tally.has_value()) << "converged while the peers disagreed";
+
+  const Bytes v2 = rng.bytes(64);
+  const Tag t2 = f.cluster->write_sync(1, 0, v2);
+  f.cluster->settle();
+
+  ASSERT_TRUE(tally.has_value());
+  EXPECT_EQ(tally->repaired, 1u);
+  EXPECT_GE(tally->retried, 1u);  // at least the first call gave up
+  EXPECT_EQ(tally->missed, 0u);
+  EXPECT_GT(t2, t1);
+  EXPECT_EQ(f.cluster->l2(7).stored_tag(0), t2);
+  EXPECT_EQ(f.cluster->l2(7).stored_element(0),
+            f.cluster->ctx().code.encode_element(v2,
+                                                 f.cluster->l2(7).code_index()));
+}
+
 TEST(RepairManager, HeartbeatsAreMetaOnly) {
   Fixture f;
   f.manager->start();

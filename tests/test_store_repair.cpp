@@ -33,10 +33,10 @@ TEST(StoreRepair, CrashedL2ServersAreRebuiltBeforeQuiesceReturns) {
   svc.quiesce();
 
   ASSERT_NE(svc.repair(), nullptr);
-  EXPECT_EQ(svc.repair()->servers_repaired(),
+  EXPECT_EQ(svc.metrics().counter_total("repairs_completed"),
             svc.metrics().counter_total("crashes_l2") +
                 svc.metrics().counter_total("false_suspicions"));
-  EXPECT_GT(svc.repair()->servers_repaired(), 0u);
+  EXPECT_GT(svc.metrics().counter_total("repairs_completed"), 0u);
   EXPECT_EQ(svc.repair()->in_flight(), 0u);
   // Repaired slots returned to the budget: more crashes are injectable.
   EXPECT_TRUE(svc.inject_crash(0, crash_rng));
@@ -67,7 +67,7 @@ TEST(StoreRepair, GlobalBudgetBoundsConcurrentRepairs) {
   }
   svc.quiesce();
   EXPECT_EQ(svc.repair()->peak_in_flight(), 1u);
-  EXPECT_EQ(svc.repair()->servers_repaired(),
+  EXPECT_EQ(svc.metrics().counter_total("repairs_completed"),
             svc.metrics().counter_total("crashes_l2") +
                 svc.metrics().counter_total("false_suspicions"));
   expect_all_histories_clean(svc);
@@ -122,7 +122,7 @@ TEST(StoreRepair, RepairUnderLoadStaysLinearizablePerShard) {
   EXPECT_GT(crashes, 0u);
   EXPECT_EQ(svc.outstanding(), 0u);
   // Every L2 outage healed; the budget never exceeded its cap.
-  EXPECT_EQ(svc.repair()->servers_repaired(),
+  EXPECT_EQ(svc.metrics().counter_total("repairs_completed"),
             svc.metrics().counter_total("crashes_l2") +
                 svc.metrics().counter_total("false_suspicions"));
   EXPECT_LE(svc.repair()->peak_in_flight(), opt.repair.max_concurrent);
