@@ -252,7 +252,9 @@ void add_decode_repair_helper(bench::JsonReporter& json,
 int run_snapshot(int argc, char** argv) {
   bench::JsonReporter json(argc, argv, "codes_micro");
   const gf::Isa best = gf::active_isa();
-  const std::size_t kKernelLens[] = {4096, 64 * 1024};
+  // 27 and 1640 are the default geometry's plane lengths for perfbench's
+  // 256 B and 16 KiB values.
+  const std::size_t kKernelLens[] = {27, 1640, 4096, 64 * 1024};
 
   // GF kernels by ISA and length.
   Rng rng(1);

@@ -39,6 +39,19 @@ Tables::Tables() {
                            : exp[log[ae] + log[static_cast<Elem>(vh)]];
     }
   }
+
+  // GF2P8AFFINEQB bit matrices (see gf256.h).  Column c is a * 2^c, and the
+  // generator 2 has log 1, so a * 2^c = exp[log a + c].
+  for (int a = 0; a < 256; ++a) {
+    std::uint64_t m = 0;
+    for (int c = 0; c < 8; ++c) {
+      const unsigned col = a == 0 ? 0 : exp[log[a] + c];
+      for (int r = 0; r < 8; ++r) {
+        if ((col >> r) & 1) m |= std::uint64_t{1} << (8 * (7 - r) + c);
+      }
+    }
+    affine[a] = m;
+  }
 }
 
 const Tables& tables() {
@@ -90,12 +103,13 @@ const Kernels* kernels_for(Isa isa) {
     case Isa::Ssse3: return ssse3_kernels();
     case Isa::Avx2: return avx2_kernels();
     case Isa::Neon: return neon_kernels();
+    case Isa::Gfni: return gfni_kernels();
   }
   return nullptr;
 }
 
 const Kernels* best_kernels() {
-  for (Isa isa : {Isa::Avx2, Isa::Neon, Isa::Ssse3}) {
+  for (Isa isa : {Isa::Gfni, Isa::Avx2, Isa::Neon, Isa::Ssse3}) {
     if (const Kernels* k = kernels_for(isa)) return k;
   }
   return scalar_kernels();
@@ -119,7 +133,7 @@ void init_kernels() {
     } else {
       std::fprintf(stderr,
                    "lds: LDS_GF_ISA=%s not recognised "
-                   "(scalar|ssse3|avx2|neon); using %s\n",
+                   "(scalar|ssse3|avx2|neon|gfni); using %s\n",
                    env, isa_name(chosen->isa));
     }
   }
@@ -145,6 +159,7 @@ const char* isa_name(Isa isa) {
     case Isa::Ssse3: return "ssse3";
     case Isa::Avx2: return "avx2";
     case Isa::Neon: return "neon";
+    case Isa::Gfni: return "gfni";
   }
   return "?";
 }
@@ -154,6 +169,7 @@ std::optional<Isa> parse_isa(std::string_view name) {
   if (name == "ssse3") return Isa::Ssse3;
   if (name == "avx2") return Isa::Avx2;
   if (name == "neon") return Isa::Neon;
+  if (name == "gfni") return Isa::Gfni;
   return std::nullopt;
 }
 
@@ -161,7 +177,7 @@ Isa active_isa() { return detail::active_kernels().isa; }
 
 std::vector<Isa> supported_isas() {
   std::vector<Isa> out{Isa::Scalar};
-  for (Isa isa : {Isa::Ssse3, Isa::Avx2, Isa::Neon}) {
+  for (Isa isa : {Isa::Ssse3, Isa::Avx2, Isa::Neon, Isa::Gfni}) {
     if (detail::kernels_for(isa) != nullptr) out.push_back(isa);
   }
   return out;

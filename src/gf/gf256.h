@@ -13,20 +13,26 @@
 //
 // The vector kernels (axpy / mul_into / dot / scale) are the hot path of
 // encode, decode and repair.  They are runtime-dispatched over ISA-specific
-// implementations of the split-nibble shuffle-table technique (ISA-L /
-// "Screaming Fast Galois Field Arithmetic", Plank et al.):
+// implementations of two techniques.  Most use the split-nibble
+// shuffle-table multiply (ISA-L / "Screaming Fast Galois Field Arithmetic",
+// Plank et al.):
 //
 //   product = T_lo[x & 0xF] ^ T_hi[x >> 4]
 //
 // where T_lo/T_hi are 16-entry tables of a*v and a*(v<<4).  With PSHUFB
 // (SSSE3), VPSHUFB (AVX2) or TBL (NEON) this multiplies 16/32 bytes per
 // instruction; the portable fallback walks the same 32-byte table one byte
-// at a time (branch-free, ~2-3x the old log/exp loop).  The best ISA is
-// selected once at startup via CPUID/HWCAP and can be overridden with
-// LDS_GF_ISA=scalar|ssse3|avx2|neon (or per-process via select_isa, used by
-// the equivalence tests).  Every path returns bit-identical results: GF
-// multiplication is exact, so dispatch NEVER changes any byte of any encode,
-// decode or repair output.
+// at a time (branch-free, ~2-3x the old log/exp loop).  On x86 CPUs with
+// GFNI and AVX-512BW, the gfni kernels instead multiply 64 bytes per
+// GF2P8AFFINEQB by the 8x8 bit matrix of x -> a*x, and end each call with
+// one masked 64-byte step instead of a scalar tail; their dot is SSSE3's.
+// The best ISA is selected once at startup via CPUID/HWCAP (gfni, then
+// avx2, neon, ssse3, scalar) and can be overridden with
+// LDS_GF_ISA=scalar|ssse3|avx2|neon|gfni (or per-process via select_isa,
+// used by the equivalence tests).  Every path returns bit-identical results:
+// GF multiplication is exact, and the nibble tables and bit matrices are
+// built from the same exp/log tables, so dispatch NEVER changes any byte of
+// any encode, decode or repair output.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +52,14 @@ inline constexpr int kGroupOrder = 255;
 
 /// Instruction sets a kernel build may target.  Scalar is always available;
 /// the rest require both compiler support (per-function target attributes)
-/// and runtime CPU support.
-enum class Isa : std::uint8_t { Scalar = 0, Ssse3 = 1, Avx2 = 2, Neon = 3 };
+/// and runtime CPU support.  Gfni needs GFNI and AVX-512BW.
+enum class Isa : std::uint8_t {
+  Scalar = 0,
+  Ssse3 = 1,
+  Avx2 = 2,
+  Neon = 3,
+  Gfni = 4
+};
 
 const char* isa_name(Isa isa);
 std::optional<Isa> parse_isa(std::string_view name);
@@ -76,6 +88,10 @@ struct Tables {
   // exactly the pair of shuffle tables the SIMD kernels need, and the
   // scalar fallback walks the same row (8 KiB total, L1-resident).
   alignas(16) Elem nib[256][32];
+  // GF2P8AFFINEQB matrices: output bit r of a * x is the parity of
+  // x & (byte 7 - r of affine[a]), whose bit c is bit r of a * 2^c
+  // (2 KiB total, read by the gfni kernels).
+  std::uint64_t affine[256];
   Tables();
 };
 const Tables& tables();
@@ -93,6 +109,7 @@ const Kernels* scalar_kernels();
 const Kernels* ssse3_kernels();  // null when unsupported (compile or CPU)
 const Kernels* avx2_kernels();   // null when unsupported
 const Kernels* neon_kernels();   // null when unsupported
+const Kernels* gfni_kernels();   // null when unsupported
 const Kernels& active_kernels();
 }  // namespace detail
 

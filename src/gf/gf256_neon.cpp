@@ -88,6 +88,7 @@ constexpr Kernels kNeonKernels{Isa::Neon, axpy_neon, mul_into_neon, dot_neon};
 const Kernels* neon_kernels() { return &kNeonKernels; }
 const Kernels* ssse3_kernels() { return nullptr; }
 const Kernels* avx2_kernels() { return nullptr; }
+const Kernels* gfni_kernels() { return nullptr; }
 
 }  // namespace lds::gf::detail
 
@@ -97,6 +98,7 @@ namespace lds::gf::detail {
 const Kernels* neon_kernels() { return nullptr; }
 const Kernels* ssse3_kernels() { return nullptr; }
 const Kernels* avx2_kernels() { return nullptr; }
+const Kernels* gfni_kernels() { return nullptr; }
 }  // namespace lds::gf::detail
 
 #endif

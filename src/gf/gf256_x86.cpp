@@ -1,15 +1,19 @@
-// x86 GF(2^8) vector kernels: split-nibble shuffle-table multiply.
+// x86 GF(2^8) vector kernels: split-nibble shuffle-table multiply and GFNI
+// affine multiply.
 //
-// Per-function target attributes let one translation unit carry both the
-// SSSE3 (PSHUFB, 16 B/step) and AVX2 (VPSHUFB, 64 B/step, 2x unrolled)
-// kernels without raising the global -m flags, so the binary still runs on
-// machines without the extensions; detail::active_kernels() picks at
-// runtime via CPUID (__builtin_cpu_supports).
+// Per-function target attributes let one translation unit carry the SSSE3
+// (PSHUFB, 16 B/step), AVX2 (VPSHUFB, 64 B/step, 2x unrolled) and GFNI
+// (VGF2P8AFFINEQB on AVX-512, 128 B/step, 2x unrolled) kernels without
+// raising the global -m flags, so the binary still runs on machines without
+// the extensions; detail::active_kernels() picks at runtime via CPUID
+// (__builtin_cpu_supports).
 //
-// All kernels compute exactly  T_lo[x & 0xF] ^ T_hi[x >> 4]  from the same
-// precomputed detail::Tables::nib rows the scalar fallback uses, so every
-// path is bit-identical by construction; the tails shorter than one vector
-// reuse the scalar loop.
+// The SSSE3 and AVX2 kernels compute exactly  T_lo[x & 0xF] ^ T_hi[x >> 4]
+// from the same precomputed detail::Tables::nib rows the scalar fallback
+// uses, and their tails shorter than one vector reuse the scalar loop.  The
+// GFNI kernels multiply by detail::Tables::affine[a], the bit matrix of the
+// same product, and finish with one masked 64-byte step that loads and
+// stores only the bytes left.
 #include "gf/gf256.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -182,9 +186,77 @@ Elem dot_avx2(const Elem* a, const Elem* b, std::size_t len) {
   return dot_ssse3(a, b, len);  // dot is not the striped hot path; reuse
 }
 
+// ---- GFNI (AVX-512) ---------------------------------------------------------
+
+__attribute__((target("gfni,avx512f,avx512bw"))) inline __m512i
+mul64(const Elem* x, __m512i m) {
+  return _mm512_gf2p8affine_epi64_epi8(_mm512_loadu_si512(x), m, 0);
+}
+
+// The bytes [0, rem) of a 64-byte step, for 0 < rem < 64.  Masked-off bytes
+// are neither loaded nor stored, so they cannot fault or change.
+__attribute__((target("gfni,avx512f,avx512bw"))) inline __mmask64
+tail_mask(std::size_t rem) {
+  return _cvtu64_mask64((std::uint64_t{1} << rem) - 1);
+}
+
+__attribute__((target("gfni,avx512f,avx512bw"))) void axpy_gfni(
+    Elem* y, Elem a, const Elem* x, std::size_t len) {
+  const __m512i m =
+      _mm512_set1_epi64(static_cast<long long>(tables().affine[a]));
+  std::size_t i = 0;
+  for (; i + 128 <= len; i += 128) {
+    const __m512i p0 = mul64(x + i, m);
+    const __m512i p1 = mul64(x + i + 64, m);
+    _mm512_storeu_si512(y + i,
+                        _mm512_xor_si512(_mm512_loadu_si512(y + i), p0));
+    _mm512_storeu_si512(y + i + 64,
+                        _mm512_xor_si512(_mm512_loadu_si512(y + i + 64), p1));
+  }
+  if (i + 64 <= len) {
+    _mm512_storeu_si512(
+        y + i, _mm512_xor_si512(_mm512_loadu_si512(y + i), mul64(x + i, m)));
+    i += 64;
+  }
+  if (i < len) {
+    const __mmask64 k = tail_mask(len - i);
+    const __m512i p = _mm512_gf2p8affine_epi64_epi8(
+        _mm512_maskz_loadu_epi8(k, x + i), m, 0);
+    _mm512_mask_storeu_epi8(
+        y + i, k, _mm512_xor_si512(_mm512_maskz_loadu_epi8(k, y + i), p));
+  }
+}
+
+__attribute__((target("gfni,avx512f,avx512bw"))) void mul_into_gfni(
+    Elem* z, Elem a, const Elem* x, std::size_t len) {
+  const __m512i m =
+      _mm512_set1_epi64(static_cast<long long>(tables().affine[a]));
+  std::size_t i = 0;
+  for (; i + 128 <= len; i += 128) {
+    const __m512i p0 = mul64(x + i, m);
+    const __m512i p1 = mul64(x + i + 64, m);
+    _mm512_storeu_si512(z + i, p0);
+    _mm512_storeu_si512(z + i + 64, p1);
+  }
+  if (i + 64 <= len) {
+    _mm512_storeu_si512(z + i, mul64(x + i, m));
+    i += 64;
+  }
+  if (i < len) {
+    const __mmask64 k = tail_mask(len - i);
+    _mm512_mask_storeu_epi8(z + i, k,
+                            _mm512_gf2p8affine_epi64_epi8(
+                                _mm512_maskz_loadu_epi8(k, x + i), m, 0));
+  }
+}
+
 constexpr Kernels kSsse3Kernels{Isa::Ssse3, axpy_ssse3, mul_into_ssse3,
                                 dot_ssse3};
 constexpr Kernels kAvx2Kernels{Isa::Avx2, axpy_avx2, mul_into_avx2, dot_avx2};
+// dot is off the planar path, so the gfni set keeps the SSSE3 kernel (every
+// GFNI + AVX-512BW CPU has SSSE3).
+constexpr Kernels kGfniKernels{Isa::Gfni, axpy_gfni, mul_into_gfni,
+                               dot_ssse3};
 
 }  // namespace
 
@@ -194,6 +266,14 @@ const Kernels* ssse3_kernels() {
 
 const Kernels* avx2_kernels() {
   return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
+}
+
+const Kernels* gfni_kernels() {
+  return __builtin_cpu_supports("gfni") &&
+                 __builtin_cpu_supports("avx512f") &&
+                 __builtin_cpu_supports("avx512bw")
+             ? &kGfniKernels
+             : nullptr;
 }
 
 const Kernels* neon_kernels() { return nullptr; }

@@ -1,6 +1,9 @@
 // GF(2^8) field axioms and kernel tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.h"
 #include "gf/gf256.h"
 
@@ -178,6 +181,7 @@ TEST(Gf256, ParseIsaNames) {
   EXPECT_EQ(parse_isa("ssse3"), Isa::Ssse3);
   EXPECT_EQ(parse_isa("avx2"), Isa::Avx2);
   EXPECT_EQ(parse_isa("neon"), Isa::Neon);
+  EXPECT_EQ(parse_isa("gfni"), Isa::Gfni);
   EXPECT_FALSE(parse_isa("avx512").has_value());
   EXPECT_FALSE(parse_isa("").has_value());
   for (const Isa isa : supported_isas()) {
@@ -203,10 +207,68 @@ class GfIsaEquivalence : public ::testing::Test {
  protected:
   void TearDown() override { select_isa(best_); }
   const Isa best_ = active_isa();
-  const std::vector<std::size_t> lens_{0,  1,  2,  3,    15,   16,  17, 31,
-                                       32, 33, 63, 64,   65,   100, 255,
-                                       4095, 4096, 4097};
+  const std::vector<std::size_t> lens_{0,   1,    2,    3,    15,  16,
+                                       17,  31,   32,   33,   63,  64,
+                                       65,  100,  127,  128,  129, 255,
+                                       1640, 4095, 4096, 4097};
 };
+
+// Every kernel must write its window and nothing else: a masked store whose
+// mask is one byte too long passes the exact-size checks below.  axpy,
+// mul_into and scale run on a window of every length 0..192 at every offset
+// 0..63 inside a poisoned buffer; the window must hold the scalar product
+// and every byte around it must be unchanged.  x is an exact-size vector so
+// a sanitizer build also sees any read past it.
+TEST_F(GfIsaEquivalence, KernelsWriteOnlyTheirWindow) {
+  constexpr std::size_t kMaxLen = 192;
+  constexpr std::size_t kMaxOffset = 63;
+  constexpr std::size_t kPad = 64;
+  constexpr std::size_t kSame = std::string::npos;
+  Rng rng(113);
+  const Bytes poison = rng.bytes(kPad + kMaxOffset + kMaxLen + kPad);
+  const Bytes source = rng.bytes(kMaxLen);
+  // The first byte where `got` differs from `expect`, or kSame.
+  const auto first_diff = [](const Bytes& got, const Bytes& expect) {
+    const auto d = std::mismatch(got.begin(), got.end(), expect.begin());
+    return d.first == got.end()
+               ? kSame
+               : static_cast<std::size_t>(d.first - got.begin());
+  };
+  for (const Isa isa : supported_isas()) {
+    ASSERT_TRUE(select_isa(isa));
+    for (const Elem a : {Elem{0x02}, Elem{0xCA}}) {
+      for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+          const auto where = [&](const char* op) {
+            return std::string(op) + " isa=" + isa_name(isa) +
+                   " a=" + std::to_string(a) + " off=" + std::to_string(off) +
+                   " len=" + std::to_string(len);
+          };
+          const std::size_t at = kPad + off;
+          const Bytes x(source.begin(),
+                        source.begin() + static_cast<std::ptrdiff_t>(len));
+          Bytes axpy_expect = poison;
+          Bytes mul_expect = poison;
+          Bytes scale_expect = poison;
+          for (std::size_t i = 0; i < len; ++i) {
+            axpy_expect[at + i] = add(poison[at + i], mul(a, x[i]));
+            mul_expect[at + i] = mul(a, x[i]);
+            scale_expect[at + i] = mul(a, poison[at + i]);
+          }
+          Bytes got = poison;
+          axpy(std::span(got).subspan(at, len), a, x);
+          ASSERT_EQ(first_diff(got, axpy_expect), kSame) << where("axpy");
+          got = poison;
+          mul_into(std::span(got).subspan(at, len), a, x);
+          ASSERT_EQ(first_diff(got, mul_expect), kSame) << where("mul_into");
+          got = poison;
+          scale(std::span(got).subspan(at, len), a);
+          ASSERT_EQ(first_diff(got, scale_expect), kSame) << where("scale");
+        }
+      }
+    }
+  }
+}
 
 TEST_F(GfIsaEquivalence, AxpyAllCoefficientsAllIsas) {
   Rng rng(101);
