@@ -11,6 +11,9 @@
 # Runs, per build:
 #   lds_stress --seed 42 --ops 2000 --crash-rate 0.05 --repair-rate 0.5
 #     --backend {lds,abd,cas,store}
+#   lds_stress --backend {lds,store} --objects 1 --threads 4 --ops 8000
+#     --crash-rate 0.1 --repair-rate 1.0 --seed 42   (one hot key per shard:
+#     write races, crashes and repair on the same object)
 #   every bench/bench_* binary except the wall-clock ones (bench_codec,
 #   bench_codes_micro, bench_storage_engine), with no arguments.
 #
@@ -41,6 +44,7 @@ for src in "$REPO"/bench/bench_*.cpp; do
   BENCHES+=("$name")
 done
 BACKENDS=(lds abd cas store)
+HOT_KEY_BACKENDS=(lds store)
 
 # build <source dir> <build dir>
 build() {
@@ -61,6 +65,12 @@ run() {
     (cd "$2" && "$1/lds_stress" --seed 42 --ops 2000 --crash-rate 0.05 \
       --repair-rate 0.5 --backend "$b" >"stress_$b.txt" 2>/dev/null
      echo "exit $?" >>"stress_$b.txt")
+  done
+  for b in "${HOT_KEY_BACKENDS[@]}"; do
+    (cd "$2" && "$1/lds_stress" --backend "$b" --objects 1 --threads 4 \
+      --ops 8000 --crash-rate 0.1 --repair-rate 1.0 --seed 42 \
+      >"hotkey_$b.txt" 2>/dev/null
+     echo "exit $?" >>"hotkey_$b.txt")
   done
   for bench in "${BENCHES[@]}"; do
     (cd "$2" && "$1/$bench" >"$bench.txt" 2>/dev/null
@@ -91,7 +101,7 @@ for f in "$WORK"/base-out/*.txt; do
   fi
 done
 if [ "$status" -eq 0 ]; then
-  echo "same_seed_diff: all ${#BACKENDS[@]} stress runs and ${#BENCHES[@]} bench tables byte-identical"
+  echo "same_seed_diff: all $((${#BACKENDS[@]} + ${#HOT_KEY_BACKENDS[@]})) stress runs and ${#BENCHES[@]} bench tables byte-identical"
 else
   echo "same_seed_diff: output differs from $BASE_REF" >&2
 fi

@@ -10,10 +10,12 @@
 //
 // The SSSE3 and AVX2 kernels compute exactly  T_lo[x & 0xF] ^ T_hi[x >> 4]
 // from the same precomputed detail::Tables::nib rows the scalar fallback
-// uses, and their tails shorter than one vector reuse the scalar loop.  The
-// GFNI kernels multiply by detail::Tables::affine[a], the bit matrix of the
-// same product, and finish with one masked 64-byte step that loads and
-// stores only the bytes left.
+// uses.  AVX2 finishes its 32-byte steps with one 16-byte step on 128-bit
+// registers, so a call shorter than 32 bytes does not run all scalar, and
+// both leave only a tail shorter than 16 bytes to the scalar loop.  The GFNI
+// kernels multiply by detail::Tables::affine[a], the bit matrix of the same
+// product, and finish with one masked 64-byte step that loads and stores
+// only the bytes left.
 #include "gf/gf256.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -135,30 +137,42 @@ mul32(__m256i v, __m256i lo, __m256i hi, __m256i mask) {
 __attribute__((target("avx2"))) void axpy_avx2(Elem* y, Elem a, const Elem* x,
                                                std::size_t len) {
   const Elem* t = tables().nib[a];
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t + 16)));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
+  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
+  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t + 16));
+  const __m128i mask = _mm_set1_epi8(0x0f);
   std::size_t i = 0;
-  for (; i + 64 <= len; i += 64) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i + 32));
-    __m256i* y0 = reinterpret_cast<__m256i*>(y + i);
-    __m256i* y1 = reinterpret_cast<__m256i*>(y + i + 32);
-    _mm256_storeu_si256(
-        y0, _mm256_xor_si256(_mm256_loadu_si256(y0), mul32(v0, lo, hi, mask)));
-    _mm256_storeu_si256(
-        y1, _mm256_xor_si256(_mm256_loadu_si256(y1), mul32(v1, lo, hi, mask)));
+  if (len >= 32) {
+    // Widen the tables only when a 32-byte step runs: a shorter call stays
+    // on 128-bit registers and costs what the SSSE3 kernel does.
+    const __m256i lo32 = _mm256_broadcastsi128_si256(lo);
+    const __m256i hi32 = _mm256_broadcastsi128_si256(hi);
+    const __m256i mask32 = _mm256_set1_epi8(0x0f);
+    for (; i + 64 <= len; i += 64) {
+      const __m256i v0 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+      const __m256i v1 =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i + 32));
+      __m256i* y0 = reinterpret_cast<__m256i*>(y + i);
+      __m256i* y1 = reinterpret_cast<__m256i*>(y + i + 32);
+      _mm256_storeu_si256(y0, _mm256_xor_si256(_mm256_loadu_si256(y0),
+                                               mul32(v0, lo32, hi32, mask32)));
+      _mm256_storeu_si256(y1, _mm256_xor_si256(_mm256_loadu_si256(y1),
+                                               mul32(v1, lo32, hi32, mask32)));
+    }
+    for (; i + 32 <= len; i += 32) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+      __m256i* yp = reinterpret_cast<__m256i*>(y + i);
+      _mm256_storeu_si256(yp, _mm256_xor_si256(_mm256_loadu_si256(yp),
+                                               mul32(v, lo32, hi32, mask32)));
+    }
   }
-  for (; i + 32 <= len; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    __m256i* yp = reinterpret_cast<__m256i*>(y + i);
-    _mm256_storeu_si256(
-        yp, _mm256_xor_si256(_mm256_loadu_si256(yp), mul32(v, lo, hi, mask)));
+  if (i + 16 <= len) {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
+    __m128i* yp = reinterpret_cast<__m128i*>(y + i);
+    _mm_storeu_si128(yp,
+                     _mm_xor_si128(_mm_loadu_si128(yp), mul16(v, lo, hi, mask)));
+    i += 16;
   }
   axpy_tail(y, t, x, i, len);
 }
@@ -167,17 +181,26 @@ __attribute__((target("avx2"))) void mul_into_avx2(Elem* z, Elem a,
                                                    const Elem* x,
                                                    std::size_t len) {
   const Elem* t = tables().nib[a];
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t + 16)));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
+  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t));
+  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t + 16));
+  const __m128i mask = _mm_set1_epi8(0x0f);
   std::size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + i),
-                        mul32(v, lo, hi, mask));
+  if (len >= 32) {
+    const __m256i lo32 = _mm256_broadcastsi128_si256(lo);
+    const __m256i hi32 = _mm256_broadcastsi128_si256(hi);
+    const __m256i mask32 = _mm256_set1_epi8(0x0f);
+    for (; i + 32 <= len; i += 32) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(z + i),
+                          mul32(v, lo32, hi32, mask32));
+    }
+  }
+  if (i + 16 <= len) {
+    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(z + i),
+                     mul16(v, lo, hi, mask));
+    i += 16;
   }
   mul_tail(z, t, x, i, len);
 }

@@ -33,11 +33,8 @@ ServerL1::ServerL1(net::Network& net, std::shared_ptr<const LdsContext> ctx,
 ServerL1::ObjectState& ServerL1::object(ObjectId obj) {
   auto it = objects_.find(obj);
   if (it == objects_.end()) {
-    ObjectState st;
-    st.list.emplace(kTag0, std::nullopt);  // L initially {(t0, bot)}
-    st.tc = kTag0;
-    st.initialized = true;
-    it = objects_.emplace(obj, std::move(st)).first;
+    it = objects_.emplace(obj, ObjectState{}).first;
+    it->second.tags.emplace_back(kTag0, true);
   }
   return it->second;
 }
@@ -45,30 +42,57 @@ ServerL1::ObjectState& ServerL1::object(ObjectId obj) {
 void ServerL1::recover_committed(ObjectId obj, Tag t) {
   LDS_REQUIRE(!objects_.contains(obj),
               "recover_committed: object already has traffic");
-  ObjectState st;
-  st.list.emplace(kTag0, std::nullopt);
-  if (t > kTag0) st.list.emplace(t, std::nullopt);
+  ObjectState& st = object(obj);
+  if (t > kTag0) st.tags.emplace_back(t, true);
   st.tc = t;
   st.durable_tag = t;
-  st.initialized = true;
-  objects_.emplace(obj, std::move(st));
+}
+
+// ---- the tag table -----------------------------------------------------------
+
+ServerL1::TagRecord* ServerL1::find(ObjectState& st, Tag t) {
+  const auto it =
+      std::partition_point(st.tags.begin(), st.tags.end(),
+                           [&](const TagRecord& r) { return r.tag < t; });
+  return it != st.tags.end() && it->tag == t ? &*it : nullptr;
+}
+
+ServerL1::TagRecord& ServerL1::record(ObjectState& st, Tag t) {
+  if (TagRecord* r = find(st, t)) return *r;
+  const auto it =
+      std::partition_point(st.tags.begin(), st.tags.end(),
+                           [&](const TagRecord& r) { return r.tag < t; });
+  return *st.tags.emplace(it, t);
+}
+
+void ServerL1::retire(ObjectState& st) {
+  // Every record below tc holds bot (values enter L only above tc and
+  // garbage_collect blanks each one tc passes), so erasing frees no value.
+  const bool durable = ctx_->durable_acks;
+  auto end = st.tags.begin();
+  while (end != st.tags.end() && end->tag < st.tc) ++end;
+  const auto kept = std::remove_if(
+      st.tags.begin(), end, [&](const TagRecord& r) {
+        if (durable && r.tag > st.durable_tag) return false;
+        return !r.in_list || (r.op != kNoOp && r.acked);
+      });
+  st.tags.erase(kept, end);
 }
 
 // ---- durable-ack machinery --------------------------------------------------
 
-void ServerL1::ack_writer(ObjectState& st, ObjectId obj, OpId op, Tag tag,
-                          NodeId writer) {
-  if (st.acked.contains(tag)) return;
-  st.acked.insert(tag);
-  if (ctx_->durable_acks && st.durable_tag < tag) {
-    st.deferred.emplace(tag, DeferredAck{writer, op, false});
+void ServerL1::ack_writer(ObjectState& st, TagRecord& r, ObjectId obj,
+                          OpId op, NodeId writer) {
+  if (r.acked) return;
+  r.acked = true;
+  if (ctx_->durable_acks && st.durable_tag < r.tag) {
+    st.deferred.emplace(r.tag, DeferredAck{writer, op, false});
     return;
   }
-  send(writer, LdsMessage::make(obj, op, WriteAck{tag}));
+  send(writer, LdsMessage::make(obj, op, WriteAck{r.tag}));
 }
 
-void ServerL1::flush_deferred(ObjectId obj) {
-  ObjectState& st = object(obj);
+void ServerL1::flush_deferred(ObjectState& st, ObjectId obj) {
   auto it = st.deferred.begin();
   while (it != st.deferred.end() && it->first <= st.durable_tag) {
     const DeferredAck& d = it->second;
@@ -89,18 +113,27 @@ Tag ServerL1::committed_tag(ObjectId obj) const {
 }
 
 std::vector<Tag> ServerL1::list_tags(ObjectId obj) const {
-  std::vector<Tag> out;
   auto it = objects_.find(obj);
   if (it == objects_.end()) return {kTag0};
-  for (const auto& [t, v] : it->second.list) out.push_back(t);
+  std::vector<Tag> out;
+  for (const TagRecord& r : it->second.tags) {
+    if (r.in_list) out.push_back(r.tag);
+  }
   return out;
+}
+
+std::size_t ServerL1::tag_records(ObjectId obj) const {
+  auto it = objects_.find(obj);
+  return it == objects_.end() ? 1 : it->second.tags.size();
 }
 
 bool ServerL1::has_value(ObjectId obj, Tag t) const {
   auto it = objects_.find(obj);
   if (it == objects_.end()) return false;
-  auto lit = it->second.list.find(t);
-  return lit != it->second.list.end() && lit->second.has_value();
+  const auto& tags = it->second.tags;
+  return std::any_of(tags.begin(), tags.end(), [&](const TagRecord& r) {
+    return r.tag == t && r.value.has_value();
+  });
 }
 
 std::size_t ServerL1::registered_readers(ObjectId obj) const {
@@ -110,13 +143,11 @@ std::size_t ServerL1::registered_readers(ObjectId obj) const {
 
 // ---- list mutation with storage accounting ----------------------------------
 
-void ServerL1::list_put(ObjectState& st, Tag t, std::optional<Value> v) {
-  auto it = st.list.find(t);
-  if (it != st.list.end()) {
-    const std::uint64_t old_bytes =
-        it->second.has_value() ? it->second->size() : 0;
-    const std::uint64_t new_bytes = v.has_value() ? v->size() : 0;
-    it->second = std::move(v);
+void ServerL1::list_put(TagRecord& r, std::optional<Value> v) {
+  const std::uint64_t new_bytes = v.has_value() ? v->size() : 0;
+  if (r.in_list) {
+    const std::uint64_t old_bytes = r.value.has_value() ? r.value->size() : 0;
+    r.value = std::move(v);
     value_bytes_ += new_bytes;
     value_bytes_ -= old_bytes;
     if (ctx_->meter) {
@@ -125,17 +156,16 @@ void ServerL1::list_put(ObjectState& st, Tag t, std::optional<Value> v) {
     }
     return;
   }
-  const std::uint64_t new_bytes = v.has_value() ? v->size() : 0;
-  st.list.emplace(t, std::move(v));
+  r.in_list = true;
+  r.value = std::move(v);
   value_bytes_ += new_bytes;
   if (ctx_->meter && new_bytes) ctx_->meter->add_l1(new_bytes);
 }
 
-void ServerL1::list_blank(ObjectState& st, Tag t) {
-  auto it = st.list.find(t);
-  if (it == st.list.end() || !it->second.has_value()) return;
-  const std::uint64_t old_bytes = it->second->size();
-  it->second.reset();
+void ServerL1::list_blank(TagRecord& r) {
+  if (!r.value.has_value()) return;
+  const std::uint64_t old_bytes = r.value->size();
+  r.value.reset();
   value_bytes_ -= old_bytes;
   if (ctx_->meter) ctx_->meter->sub_l1(old_bytes);
 }
@@ -193,10 +223,14 @@ void ServerL1::on_message(NodeId from, const net::MessagePtr& msg) {
 
 void ServerL1::get_tag_resp(ObjectId obj, OpId op, NodeId writer) {
   // Fig. 2 line 3: reply with max{t : (t, *) in L} (bot entries count -
-  // they witness tags of garbage-collected or offloaded writes).
+  // they witness tags of garbage-collected or offloaded writes).  tc is in
+  // L, so the scan stops at tc at the latest.
   ObjectState& st = object(obj);
-  LDS_CHECK(!st.list.empty(), "ServerL1: empty list");
-  send(writer, LdsMessage::make(obj, op, TagResp{st.list.rbegin()->first}));
+  const auto it =
+      std::find_if(st.tags.rbegin(), st.tags.rend(),
+                   [](const TagRecord& r) { return r.in_list; });
+  LDS_CHECK(it != st.tags.rend(), "ServerL1: empty list");
+  send(writer, LdsMessage::make(obj, op, TagResp{it->tag}));
 }
 
 void ServerL1::put_data_resp(ObjectId obj, OpId op, NodeId writer,
@@ -204,22 +238,23 @@ void ServerL1::put_data_resp(ObjectId obj, OpId op, NodeId writer,
   ObjectState& st = object(obj);
   // Fig. 2 line 6: broadcast COMMIT-TAG before anything else.
   bcast_commit(obj, op, m.tag);
-  st.tag_op.emplace(m.tag, op);
+  TagRecord& r = record(st, m.tag);
+  if (r.op == kNoOp) r.op = op;
   if (m.tag > st.tc) {
-    list_put(st, m.tag, m.value);
+    list_put(r, m.value);
     // The ACK is deferred to broadcast-resp (>= f1+k COMMIT-TAGs).
-  } else {
-    // An older (possibly garbage-collected) tag.  Durable mode: the tag
-    // may have committed via the valueless put-tag path (Fig. 2 lines
-    // 62-65), which never offloads — and a deferred ack would then wait
-    // forever.  This server holds the value right here, so offload it
-    // (once) before acking; ack_writer defers until it is durable.
-    if (ctx_->durable_acks && st.durable_tag < m.tag &&
-        !st.offload_sent.contains(m.tag)) {
-      write_to_l2(obj, op, m.tag, m.value);
-    }
-    ack_writer(st, obj, op, m.tag, writer);
+    return;
   }
+  // An older (possibly garbage-collected) tag.  Durable mode: the tag may
+  // have committed via the valueless put-tag path (Fig. 2 lines 62-65),
+  // which never offloads — and a deferred ack would then wait forever.
+  // This server holds the value right here, so offload it (once) before
+  // acking; ack_writer defers until it is durable.
+  if (ctx_->durable_acks && st.durable_tag < m.tag && !r.offload_sent) {
+    write_to_l2(obj, op, r, m.value);
+  }
+  ack_writer(st, r, obj, op, writer);
+  retire(st);
 }
 
 void ServerL1::bcast_commit(ObjectId obj, OpId op, Tag tag) {
@@ -233,46 +268,46 @@ void ServerL1::bcast_commit(ObjectId obj, OpId op, Tag tag) {
 
 void ServerL1::broadcast_resp(ObjectId obj, OpId op, const CommitTag& m) {
   ObjectState& st = object(obj);
-  const std::size_t count = ++st.commit_counter[m.tag];
+  TagRecord* r = find(st, m.tag);
+  if (r == nullptr) {
+    if (m.tag < st.tc) return;  // retired or never in L (file comment)
+    r = &record(st, m.tag);
+  }
   // Fig. 2 line 13: requires the tag key in L *and* a quorum of COMMIT-TAGs.
-  if (!st.list.contains(m.tag) || count < ctx_->cfg.l1_quorum()) return;
+  if (++r->commits < ctx_->cfg.l1_quorum() || !r->in_list) return;
   // "send ACK to writer w of tag tin": the writer id is the tag's w field.
   // Durable mode holds the ack until write-to-L2-complete for this tag.
-  ack_writer(st, obj, op, m.tag, m.tag.w);
-  if (m.tag > st.tc) commit_tag(obj, op, m.tag);
+  ack_writer(st, *r, obj, op, m.tag.w);
+  if (m.tag > st.tc) commit_tag(st, obj, op, *r);
+  retire(st);
 }
 
-void ServerL1::commit_tag(ObjectId obj, OpId op, Tag t) {
+void ServerL1::commit_tag(ObjectState& st, ObjectId obj, OpId op,
+                          TagRecord& r) {
   // Fig. 2 lines 15-19 (also reached from put-tag-resp when the value is in
   // the list): update tc, serve registered readers, garbage-collect older
   // values, offload to L2.
-  ObjectState& st = object(obj);
+  LDS_CHECK(r.in_list, "commit_tag: tag not in list");
   const Tag old_tc = st.tc;
-  st.tc = t;
-  auto it = st.list.find(t);
-  LDS_CHECK(it != st.list.end(), "commit_tag: tag not in list");
-  if (!it->second.has_value()) {
+  st.tc = r.tag;
+  if (!r.value.has_value()) {
     // The value was already offloaded and garbage-collected by an earlier
     // commit path; nothing to serve or offload.
-    garbage_collect(obj, old_tc);
+    garbage_collect(st, old_tc);
     return;
   }
-  // Handle copy (refcount bump): serving + GC may erase the list entry, but
-  // the shared buffer outlives it.
-  const Value value = *it->second;
-  serve_registered(obj, t, value);
-  garbage_collect(obj, old_tc);
+  // Handle copy (refcount bump): the value outlives serving and any later
+  // blanking of the entry.
+  const Value value = *r.value;
+  serve_registered(st, obj, r.tag, value);
+  garbage_collect(st, old_tc);
   // Attribute the internal write-to-L2 to the originating write operation
   // (Section II-d: write cost includes internal write-to-L2 costs).
-  OpId write_op = op;
-  if (auto oit = st.tag_op.find(t); oit != st.tag_op.end()) {
-    write_op = oit->second;
-  }
-  write_to_l2(obj, write_op, t, value);
+  write_to_l2(obj, r.op != kNoOp ? r.op : op, r, value);
 }
 
-void ServerL1::serve_registered(ObjectId obj, Tag t, const Value& value) {
-  ObjectState& st = object(obj);
+void ServerL1::serve_registered(ObjectState& st, ObjectId obj, Tag t,
+                                const Value& value) {
   auto it = st.gamma.begin();
   while (it != st.gamma.end()) {
     if (t >= it->treq) {
@@ -285,25 +320,24 @@ void ServerL1::serve_registered(ObjectId obj, Tag t, const Value& value) {
   }
 }
 
-void ServerL1::garbage_collect(ObjectId obj, Tag old_tc) {
+void ServerL1::garbage_collect(ObjectState& st, Tag old_tc) {
   // Values enter the list only above tc, and the previous collection
   // blanked every value below old_tc, so only [old_tc, tc) can hold one.
-  ObjectState& st = object(obj);
-  for (auto it = st.list.lower_bound(old_tc);
-       it != st.list.end() && it->first < st.tc; ++it) {
-    if (it->second.has_value()) list_blank(st, it->first);
+  for (TagRecord& r : st.tags) {
+    if (r.tag >= st.tc) break;
+    if (r.tag >= old_tc) list_blank(r);
   }
 }
 
-void ServerL1::write_to_l2(ObjectId obj, OpId op, Tag tag,
+void ServerL1::write_to_l2(ObjectId obj, OpId op, TagRecord& r,
                            const Value& value) {
   // Fig. 2 lines 20-23: encode with C2 and send each coordinate to its L2
   // server.  The element for L2 server i is coordinate n1 + i of C.
-  object(obj).offload_sent.insert(tag);
-  const auto& elems = ctx_->c2_elements(obj, tag, value);
+  r.offload_sent = true;
+  const auto& elems = ctx_->c2_elements(obj, r.tag, value);
   for (std::size_t i = 0; i < ctx_->cfg.n2; ++i) {
     send(ctx_->l2_ids[i],
-         LdsMessage::make(obj, op, WriteCodeElem{tag, elems[i]}));
+         LdsMessage::make(obj, op, WriteCodeElem{r.tag, elems[i]}));
   }
 }
 
@@ -313,17 +347,25 @@ void ServerL1::write_to_l2_complete(ObjectId obj, const AckCodeElem& m) {
   // value if it is still the committed (newest) one, so reads are served
   // from the edge without an L2 round trip.
   ObjectState& st = object(obj);
-  const std::size_t count = ++st.write_counter[m.tag];
-  if (count != ctx_->cfg.l2_quorum()) return;
-  if (ctx_->durable_acks && m.tag > st.durable_tag) {
+  const bool durable = ctx_->durable_acks;
+  TagRecord* r = find(st, m.tag);
+  if (r == nullptr) {
+    // Retired or never in L (file comment).  In durable mode an ack above
+    // the watermark still counts toward it, e.g. a repaired L2's
+    // broadcast of its newest tag.
+    if (m.tag < st.tc && (!durable || m.tag <= st.durable_tag)) return;
+    r = &record(st, m.tag);
+  }
+  if (++r->l2_acks != ctx_->cfg.l2_quorum()) return;
+  if (!(ctx_->cfg.proxy_cache && m.tag == st.tc)) list_blank(*r);
+  if (durable && m.tag > st.durable_tag) {
     // The durability watermark is monotone: a quorum for tag t certifies
     // every tag <= t (L2 servers keep the newest tag), so all deferred
-    // acks at or below t can go out.
+    // acks at or below t can go out, and the records they kept retire.
     st.durable_tag = m.tag;
-    flush_deferred(obj);
+    flush_deferred(st, obj);
+    retire(st);
   }
-  if (ctx_->cfg.proxy_cache && m.tag == st.tc) return;
-  list_blank(st, m.tag);
 }
 
 void ServerL1::get_committed_tag_resp(ObjectId obj, OpId op, NodeId reader) {
@@ -334,26 +376,22 @@ void ServerL1::get_data_resp(ObjectId obj, OpId op, NodeId reader,
                              const QueryData& m) {
   ObjectState& st = object(obj);
   // Fig. 2 lines 30-38.
-  if (auto it = st.list.find(m.treq);
-      it != st.list.end() && it->second.has_value()) {
-    send(reader, LdsMessage::make(obj, op, DataRespValue{m.treq, *it->second}));
+  if (const TagRecord* r = find(st, m.treq); r && r->value.has_value()) {
+    send(reader, LdsMessage::make(obj, op, DataRespValue{m.treq, *r->value}));
     return;
   }
   if (st.tc > m.treq) {
-    if (auto it = st.list.find(st.tc);
-        it != st.list.end() && it->second.has_value()) {
-      send(reader,
-           LdsMessage::make(obj, op, DataRespValue{st.tc, *it->second}));
+    if (const TagRecord* r = find(st, st.tc); r && r->value.has_value()) {
+      send(reader, LdsMessage::make(obj, op, DataRespValue{st.tc, *r->value}));
       return;
     }
   }
   st.gamma.push_back(GammaEntry{reader, op, m.treq});
-  regenerate_from_l2(obj, op, reader, m.treq);
+  regenerate_from_l2(st, obj, op, reader, m.treq);
 }
 
-void ServerL1::regenerate_from_l2(ObjectId obj, OpId op, NodeId reader,
-                                  Tag treq) {
-  ObjectState& st = object(obj);
+void ServerL1::regenerate_from_l2(ObjectState& st, ObjectId obj, OpId op,
+                                  NodeId reader, Tag treq) {
   LDS_CHECK(!st.regen.contains(op), "regenerate_from_l2: duplicate read op");
   Regen& rg = st.regen.emplace(op, Regen{reader, treq, {}}).first->second;
   rg.helpers.reserve(ctx_->regen_wait());
@@ -419,43 +457,39 @@ void ServerL1::put_tag_resp(ObjectId obj, OpId op, NodeId reader,
       st.gamma.end());
 
   if (m.tag > st.tc) {
-    if (auto it = st.list.find(m.tag);
-        it != st.list.end() && it->second.has_value()) {
+    if (TagRecord* r = find(st, m.tag); r && r->value.has_value()) {
       // The put-tag acts as a proxy for the commitCounter event of
       // broadcast-resp: commit, serve, garbage-collect and offload.
-      commit_tag(obj, op, m.tag);
+      commit_tag(st, obj, op, *r);
     } else {
       // Fig. 2 lines 62-65: first sighting of this tag; record it as
       // committed-but-valueless, serve whoever the best remaining value can
       // serve, then garbage-collect.
       const Tag old_tc = st.tc;
       st.tc = m.tag;
-      list_put(st, m.tag, std::nullopt);
+      list_put(record(st, m.tag), std::nullopt);
       // No value lies below old_tc (see garbage_collect).
-      Tag tbar = kTag0;
-      const Value* vbar = nullptr;
-      for (auto lit = st.list.rbegin();
-           lit != st.list.rend() && lit->first >= old_tc; ++lit) {
-        if (lit->first < st.tc && lit->second.has_value()) {
-          tbar = lit->first;
-          vbar = &*lit->second;
-          break;
-        }
+      const TagRecord* best = nullptr;
+      for (const TagRecord& rec : st.tags) {
+        if (rec.tag >= st.tc) break;
+        if (rec.tag >= old_tc && rec.value.has_value()) best = &rec;
       }
-      if (vbar != nullptr) {
-        const Value value = *vbar;  // handle copy: serving mutates gamma
-        serve_registered(obj, tbar, value);
+      if (best != nullptr) {
+        // Handle copy: serving mutates gamma, not the table.
+        const Value value = *best->value;
+        serve_registered(st, obj, best->tag, value);
       }
-      garbage_collect(obj, old_tc);
+      garbage_collect(st, old_tc);
     }
+    retire(st);
   }
   // Durable mode: a read must not complete while the tag it exposes could
   // still vanish with a SIGKILL; hold the ack until the offload is durable
   // here.  (The valueless-commit case cannot stall: the writer put-datas
   // ALL of L1, and whichever server still holds the value offloads it from
   // the put-data-resp older-tag branch.)
-  if (ctx_->durable_acks && object(obj).durable_tag < m.tag) {
-    object(obj).deferred.emplace(m.tag, DeferredAck{reader, op, true});
+  if (ctx_->durable_acks && st.durable_tag < m.tag) {
+    st.deferred.emplace(m.tag, DeferredAck{reader, op, true});
     return;
   }
   send(reader, LdsMessage::make(obj, op, PutTagAck{}));

@@ -14,6 +14,38 @@
 //   K   - helper-data accumulator for in-flight regenerations, keyed by the
 //         read operation id.
 //
+// The tag table.  L and every per-tag counter and flag live in one vector
+// of TagRecords per object, sorted by tag: the entry in L (present flag and
+// value or bot), the originating write op (set when PUT-DATA arrives), the
+// COMMIT-TAG and ACK-CODE-ELEM counts, and the writer-acked and
+// offload-sent flags.  A lookup touches one contiguous buffer, and once the
+// vector has capacity a write allocates nothing here.
+//
+// Retirement keeps the table bounded by the writes in flight (Lemma V.5
+// bounds the values; this bounds the metadata too).  After every action
+// that can move tc or settle a tag, the records below tc that no later
+// message can observe are erased:
+//   - a tag not in L (it can never enter L again: keys enter only above tc);
+//   - a tag in L whose PUT-DATA has arrived and whose writer has been acked
+//     (no second PUT-DATA comes, and every later COMMIT-TAG would find the
+//     ack already sent);
+//   - in durable mode, only tags at or below the durability watermark (an
+//     ACK-CODE-ELEM above it may still move the watermark).
+// Every value below tc is already bot, so retiring frees no storage.  Two
+// records stay on purpose: (t0, bot) and tc's key, which get-tag reads (the
+// largest key in L is never below tc), so a quiescent object holds two.  So
+// does an entry a valueless PUT-TAG added before its PUT-DATA arrived: a
+// COMMIT-TAG quorum may ack that write here, and a record retired early
+// would let the late PUT-DATA ack it a second time.  (The tag that
+// recover_committed seeds is such an entry too: one more record per
+// recovered object.)
+//
+// A COMMIT-TAG for a tag below tc with no record is a no-op, and so is an
+// ACK-CODE-ELEM (in durable mode only at or below the watermark).  Such a
+// tag is not in L, or its writer is acked and its value is already bot, so
+// the message could only bump a count that no later action reads: skipping
+// it changes no reply, ack or offload.
+//
 // The broadcast primitive (Section III, from [17]) is folded into this node:
 // on the *first* receipt of a COMMIT-TAG instance, a server belonging to the
 // fixed relay set S_{f1+1} forwards the message it received to all of L1
@@ -24,7 +56,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +113,9 @@ class ServerL1 final : public net::Node {
   Tag committed_tag(ObjectId obj) const;
   /// Tags present in the list L (keys; values may be bot).
   std::vector<Tag> list_tags(ObjectId obj) const;
+  /// Records in the object's tag table: L's keys plus tags not in L whose
+  /// counters are still live (1 if the object was never touched).
+  std::size_t tag_records(ObjectId obj) const;
   /// True iff the list holds an actual value for `t`.
   bool has_value(ObjectId obj, Tag t) const;
   /// Number of registered readers of one object.
@@ -111,64 +145,84 @@ class ServerL1 final : public net::Node {
     bool put_tag = false;  ///< PutTagAck (reader) vs WriteAck (writer)
   };
 
+  /// One tag's row of the tag table (see the file comment).
+  struct TagRecord {
+    explicit TagRecord(Tag t, bool listed = false) : tag(t), in_list(listed) {}
+
+    Tag tag;
+    /// The entry in L: `in_list` says (tag, *) is in L, and `value` is its
+    /// value, nullopt for bot.  Values are shared handles: the entry
+    /// references the same buffer the PUT-DATA message (and every peer
+    /// server's entry) carries.
+    bool in_list = false;
+    std::optional<Value> value;
+    OpId op = kNoOp;  ///< originating write op; set when PUT-DATA arrives
+    std::uint32_t commits = 0;  ///< COMMIT-TAG instances consumed
+    std::uint32_t l2_acks = 0;  ///< ACK-CODE-ELEMs received
+    bool acked = false;         ///< writer-ACK sent (or deferred)
+    bool offload_sent = false;  ///< write-to-L2 launched from here
+  };
+
   struct ObjectState {
-    // L: ordered map tag -> optional value; nullopt encodes bot.  Values are
-    // shared handles: the entry references the same buffer the PUT-DATA
-    // message (and every peer server's entry) carries.
-    std::map<Tag, std::optional<Value>> list;
+    std::vector<TagRecord> tags;  // sorted by tag
     Tag tc = kTag0;
     std::vector<GammaEntry> gamma;
-    std::map<Tag, std::size_t> commit_counter;
-    std::set<Tag> acked;             // writer-ACK sent (or deferred)
-    std::map<Tag, OpId> tag_op;      // originating write op per tag
-    std::map<Tag, std::size_t> write_counter;  // ACK-CODE-ELEM counts
-    std::unordered_map<OpId, Regen> regen;     // K, keyed by read op
+    std::unordered_map<OpId, Regen> regen;  // K, keyed by read op
     // Durable mode only: the local durability watermark (max tag whose
-    // offload reached an l2_quorum of acks here), offload dedup, and the
-    // acks waiting for the watermark to pass their tag.
+    // offload reached an l2_quorum of acks here) and the acks waiting for
+    // the watermark to pass their tag.
     Tag durable_tag = kTag0;
-    std::set<Tag> offload_sent;
     std::multimap<Tag, DeferredAck> deferred;
-    bool initialized = false;
   };
 
   ObjectState& object(ObjectId obj);
 
+  /// The record of `t`, or nullptr.
+  static TagRecord* find(ObjectState& st, Tag t);
+  /// The record of `t`, inserted in tag order if absent.  Inserting moves
+  /// the other records, so no caller keeps a record reference across it.
+  static TagRecord& record(ObjectState& st, Tag t);
+  /// Erase the records below tc that no later message can observe (the
+  /// retirement rule in the file comment).
+  void retire(ObjectState& st);
+
   /// Send WriteAck now, or defer it (durable mode, tag not yet durable).
   /// Marks the tag acked either way.
-  void ack_writer(ObjectState& st, ObjectId obj, OpId op, Tag tag,
+  void ack_writer(ObjectState& st, TagRecord& r, ObjectId obj, OpId op,
                   NodeId writer);
   /// Send every deferred ack whose tag is now <= the durable watermark.
-  void flush_deferred(ObjectId obj);
+  void flush_deferred(ObjectState& st, ObjectId obj);
 
   // Fig. 2 actions.
   void get_tag_resp(ObjectId obj, OpId op, NodeId writer);
   void put_data_resp(ObjectId obj, OpId op, NodeId writer, const PutData& m);
   void broadcast_resp(ObjectId obj, OpId op, const CommitTag& m);
-  void write_to_l2(ObjectId obj, OpId op, Tag tag, const Value& value);
+  void write_to_l2(ObjectId obj, OpId op, TagRecord& r, const Value& value);
   void write_to_l2_complete(ObjectId obj, const AckCodeElem& m);
   void get_committed_tag_resp(ObjectId obj, OpId op, NodeId reader);
   void get_data_resp(ObjectId obj, OpId op, NodeId reader, const QueryData& m);
-  void regenerate_from_l2(ObjectId obj, OpId op, NodeId reader, Tag treq);
+  void regenerate_from_l2(ObjectState& st, ObjectId obj, OpId op,
+                          NodeId reader, Tag treq);
   void regenerate_complete(ObjectId obj, OpId op, const SendHelperElem& m,
                            NodeId from);
   void put_tag_resp(ObjectId obj, OpId op, NodeId reader, const PutTag& m);
 
-  // Shared commit machinery: advance tc to `t`, serve registered readers
-  // whose treq <= tc with (t_served, value), garbage-collect tags < tc, and
-  // optionally launch write-to-L2.  Used by broadcast-resp and put-tag-resp.
-  void commit_tag(ObjectId obj, OpId op, Tag t);
+  // Shared commit machinery: advance tc to r's tag, serve registered readers
+  // whose treq <= tc with (t_served, value), garbage-collect values below
+  // tc, and offload to L2.  Used by broadcast-resp and put-tag-resp.
+  void commit_tag(ObjectState& st, ObjectId obj, OpId op, TagRecord& r);
 
   /// Serve and unregister every gamma entry with treq <= t (value known).
-  void serve_registered(ObjectId obj, Tag t, const Value& value);
+  void serve_registered(ObjectState& st, ObjectId obj, Tag t,
+                        const Value& value);
 
   /// Replace (t', v) with (t', bot) for every t' < tc (Fig. 2 lines 18, 65),
   /// after tc advanced from `old_tc`.
-  void garbage_collect(ObjectId obj, Tag old_tc);
+  void garbage_collect(ObjectState& st, Tag old_tc);
 
-  // List mutation helpers that keep the storage gauge consistent.
-  void list_put(ObjectState& st, Tag t, std::optional<Value> v);
-  void list_blank(ObjectState& st, Tag t);
+  // L mutation helpers that keep the storage gauge consistent.
+  void list_put(TagRecord& r, std::optional<Value> v);
+  void list_blank(TagRecord& r);
 
   void bcast_commit(ObjectId obj, OpId op, Tag tag);
 

@@ -133,6 +133,107 @@ TEST(Protocol, BroadcastDedupStateDoesNotGrowWithWrites) {
   }
 }
 
+TEST(Protocol, L1TagTableStaysWithinTheWritesInFlight) {
+  // Two writers and two readers race on one key under heavy-tailed latency.
+  // A write is in flight from its invocation until every L1 server has
+  // received its PUT-DATA and its writer has received that server's
+  // WriteAck.  A server's tag table holds t0, tc and at most one record per
+  // write in flight: checked before every delivery over the first 1k
+  // writes, and at a quiescent checkpoint after every round, where only t0
+  // and tc remain.  No server acks a write twice, and once settled no L1
+  // holds a value.
+  auto opt = base_options();
+  opt.latency = LdsCluster::LatencyKind::Exponential;
+  opt.seed = 41;
+  LdsCluster c(opt);
+  Rng rng(41);
+  const Value v = rng.bytes(8);
+  constexpr int kRounds = 200;
+  constexpr int kWritesPerRound = 50;  // per writer: 20k writes in all
+  constexpr int kTrackedWrites = 1000;
+
+  int started = 0, done = 0;
+  std::size_t over_bound = 0, widest = 0, second_acks = 0;
+  // tag -> (PUT-DATAs received by L1, WriteAcks received by the writer)
+  std::map<Tag, std::pair<std::size_t, std::size_t>> tracked;
+  std::set<std::pair<NodeId, Tag>> acks;
+  c.net().set_delivery_observer(
+      [&](NodeId from, NodeId, const net::Payload& p) {
+        const auto* m = dynamic_cast<const LdsMessage*>(&p);
+        if (m == nullptr) return;
+        const bool tracking = started <= kTrackedWrites;
+        if (tracking) {
+          const auto in_flight = static_cast<std::size_t>(started - done);
+          for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
+            const std::size_t records = c.l1(j).tag_records(0);
+            widest = std::max(widest, records);
+            if (records > 2 + in_flight) ++over_bound;
+          }
+        }
+        std::size_t* count = nullptr;
+        Tag tag;
+        if (const auto* d = std::get_if<PutData>(&m->body())) {
+          tag = d->tag;
+          if (tracking) count = &tracked[tag].first;
+        } else if (const auto* a = std::get_if<WriteAck>(&m->body())) {
+          tag = a->tag;
+          if (!acks.emplace(from, tag).second) ++second_acks;
+          if (tracking) count = &tracked[tag].second;
+        }
+        if (count == nullptr) return;
+        ++*count;
+        const auto& [put_datas, write_acks] = tracked[tag];
+        if (put_datas == opt.cfg.n1 && write_acks == opt.cfg.n1) {
+          ++done;
+          tracked.erase(tag);
+        }
+      });
+
+  std::size_t over_quiescent = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::size_t writers_left = opt.writers;
+    std::function<void(std::size_t, int)> write_next = [&](std::size_t w,
+                                                           int left) {
+      if (left == 0) {
+        --writers_left;
+        return;
+      }
+      ++started;
+      c.writer(w).write(0, v, [&, w, left](Tag) {
+        c.sim().after(rng.uniform_real(0.0, 1.0),
+                      [&, w, left] { write_next(w, left - 1); });
+      });
+    };
+    std::function<void(std::size_t)> read_next = [&](std::size_t r) {
+      if (writers_left == 0) return;
+      c.reader(r).read(0, [&, r](Tag, Bytes) {
+        c.sim().after(rng.uniform_real(0.0, 1.0), [&, r] { read_next(r); });
+      });
+    };
+    for (std::size_t w = 0; w < opt.writers; ++w) {
+      c.sim().after(rng.uniform_real(0.0, 1.0),
+                    [&, w] { write_next(w, kWritesPerRound); });
+    }
+    for (std::size_t r = 0; r < opt.readers; ++r) {
+      c.sim().after(rng.uniform_real(0.0, 1.0), [&, r] { read_next(r); });
+    }
+    c.settle();
+    for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
+      if (c.l1(j).tag_records(0) > 2) ++over_quiescent;
+    }
+  }
+
+  EXPECT_EQ(started, kRounds * kWritesPerRound * static_cast<int>(opt.writers));
+  EXPECT_EQ(over_bound, 0u) << "widest table " << widest;
+  EXPECT_GT(widest, 2u) << "no write was ever in flight at a checked step";
+  EXPECT_EQ(over_quiescent, 0u);
+  EXPECT_EQ(second_acks, 0u);
+  EXPECT_EQ(acks.size(), static_cast<std::size_t>(started) * opt.cfg.n1);
+  for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
+    EXPECT_EQ(c.l1(j).stored_value_bytes(), 0u) << "server " << j;
+  }
+}
+
 TEST(Protocol, RegenerationKeepsHelperAndCodedBuffersShared) {
   // A get that regenerates from L2: every L1 server repairs from the very
   // buffers its L2 helpers computed, and the reader decodes from the very
@@ -249,9 +350,10 @@ TEST(Protocol, StaleWriteTagAckedImmediately) {
   }
 }
 
-TEST(Protocol, GarbageCollectionBlanksOldTagsButKeepsKeys) {
-  // Fig. 2 lines 18, 27: values below tc are blanked but the tag keys stay
-  // (they witness history for get-tag).
+TEST(Protocol, GarbageCollectionBlanksOldValuesAndRetiresOldTags) {
+  // Fig. 2 lines 18, 27: values below tc are blanked.  The tag table then
+  // retires t1's key: its writer is acked and its PUT-DATA has arrived, and
+  // get-tag reads only the largest key, which is never below tc.
   auto opt = base_options();
   LdsCluster c(opt);
   Rng rng(5);
@@ -260,11 +362,22 @@ TEST(Protocol, GarbageCollectionBlanksOldTagsButKeepsKeys) {
   c.settle();
   for (std::size_t j = 0; j < opt.cfg.n1; ++j) {
     const auto tags = c.l1(j).list_tags(0);
-    EXPECT_NE(std::find(tags.begin(), tags.end(), t1), tags.end());
+    EXPECT_EQ(std::find(tags.begin(), tags.end(), t1), tags.end());
     EXPECT_NE(std::find(tags.begin(), tags.end(), t2), tags.end());
     EXPECT_FALSE(c.l1(j).has_value(0, t1));
     EXPECT_FALSE(c.l1(j).has_value(0, t2));  // offloaded to L2 and GC'd
   }
+  std::vector<Tag> tag_resps;
+  c.net().set_delivery_observer([&](NodeId, NodeId, const net::Payload& p) {
+    const auto* m = dynamic_cast<const LdsMessage*>(&p);
+    if (m == nullptr) return;
+    if (const auto* r = std::get_if<TagResp>(&m->body())) {
+      tag_resps.push_back(r->tag);
+    }
+  });
+  c.write_sync(1, 0, rng.bytes(16));
+  ASSERT_FALSE(tag_resps.empty());
+  for (const Tag& t : tag_resps) EXPECT_GE(t, t2);
 }
 
 TEST(Protocol, L2StoresExactlyOneTagPerObject) {
