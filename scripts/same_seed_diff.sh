@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Same-seed behaviour check: builds lds_stress and the deterministic paper
-# benches twice — at BASE_REF (in a temporary git worktree outside the repo)
-# and from the working tree — runs both builds on the same seeds, and diffs
-# their stdout.  Any difference means the change altered behaviour.
+# benches twice — at BASE_REF (a `git archive` copy in a temporary directory
+# outside the repo, so the repository's worktree list is never touched) and
+# from the working tree — runs both builds on the same seeds, and diffs their
+# stdout.  Any difference means the change altered behaviour.
 #
 #   scripts/same_seed_diff.sh            # working tree vs HEAD
 #   scripts/same_seed_diff.sh main       # working tree vs main
@@ -30,11 +31,7 @@ BASE_SHA="$(git -C "$REPO" rev-parse --verify "$BASE_REF^{commit}")" || {
 }
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/same_seed_diff.XXXXXX")"
-cleanup() {
-  git -C "$REPO" worktree remove --force "$WORK/base-src" >/dev/null 2>&1
-  rm -rf "$WORK"
-}
-trap cleanup EXIT
+trap 'rm -rf "$WORK"' EXIT
 
 WALL_CLOCK="bench_codec bench_codes_micro bench_storage_engine"
 BENCHES=()
@@ -79,9 +76,9 @@ run() {
 }
 
 echo "same_seed_diff: base $BASE_REF ($BASE_SHA) vs working tree"
-git -C "$REPO" worktree add --detach "$WORK/base-src" "$BASE_SHA" \
-  >/dev/null 2>&1 || {
-  echo "same_seed_diff: git worktree add failed" >&2
+mkdir -p "$WORK/base-src" &&
+  git -C "$REPO" archive "$BASE_SHA" | tar -x -C "$WORK/base-src" || {
+  echo "same_seed_diff: extracting $BASE_SHA failed" >&2
   exit 2
 }
 build "$WORK/base-src" "$WORK/base-build" || exit 2

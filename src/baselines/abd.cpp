@@ -1,40 +1,8 @@
 #include "baselines/abd.h"
 
 #include "common/assert.h"
-#include "net/codec.h"
 
 namespace lds::baselines {
-
-// ---- message sizes ----------------------------------------------------------
-
-std::uint64_t AbdMessage::data_bytes() const {
-  return std::visit(
-      [](const auto& b) -> std::uint64_t {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, AbdQueryResp>) return b.value.size();
-        if constexpr (std::is_same_v<T, AbdUpdate>) return b.value.size();
-        return 0;
-      },
-      body_);
-}
-
-std::uint64_t AbdMessage::meta_bytes() const {
-  // Exact: the codec's encoded frame size minus the data payload.
-  return net::codec::encoded_size(*this) - data_bytes();
-}
-
-const char* AbdMessage::type_name() const {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, AbdQuery>) return "ABD-QUERY";
-        else if constexpr (std::is_same_v<T, AbdQueryResp>)
-          return "ABD-QUERY-RESP";
-        else if constexpr (std::is_same_v<T, AbdUpdate>) return "ABD-UPDATE";
-        else return "ABD-UPDATE-ACK";
-      },
-      body_);
-}
 
 // ---- server ------------------------------------------------------------------
 

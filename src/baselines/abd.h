@@ -23,6 +23,7 @@
 #include "baselines/single_layer.h"
 #include "common/slice.h"
 #include "lds/history.h"
+#include "net/codec.h"
 #include "net/network.h"
 
 namespace lds::baselines {
@@ -33,25 +34,39 @@ using core::OpKind;
 // ---- wire protocol ----------------------------------------------------------
 
 struct AbdQuery {
+  static constexpr const char* kName = "ABD-QUERY";
   bool want_value = false;  ///< readers need (tag, value); writers only tags
+  static void wire(auto& m, auto& w) { w.flag(m.want_value); }
 };
 struct AbdQueryResp {
+  static constexpr const char* kName = "ABD-QUERY-RESP";
   Tag tag;
   Value value;  ///< empty when only the tag was requested
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.payload(m.value);
+  }
 };
 struct AbdUpdate {
+  static constexpr const char* kName = "ABD-UPDATE";
   Tag tag;
   Value value;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.payload(m.value);
+  }
 };
 struct AbdUpdateAck {
+  static constexpr const char* kName = "ABD-UPDATE-ACK";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// Alternative order frozen: the wire codec (net/codec.h) uses the variant
 /// index as the frame's type id.  Append, never reorder.
 using AbdBody = std::variant<AbdQuery, AbdQueryResp, AbdUpdate, AbdUpdateAck>;
 
-class AbdMessage final : public net::Payload {
+class AbdMessage final : public net::codec::SchemaPayload<AbdMessage> {
  public:
   AbdMessage(ObjectId obj, OpId op, AbdBody body)
       : obj_(obj), op_(op), body_(std::move(body)) {}
@@ -59,11 +74,6 @@ class AbdMessage final : public net::Payload {
   ObjectId obj() const { return obj_; }
   OpId op() const override { return op_; }
   const AbdBody& body() const { return body_; }
-
-  std::uint64_t data_bytes() const override;
-  /// Exact: codec frame size minus the data payload (defined in abd.cpp).
-  std::uint64_t meta_bytes() const override;
-  const char* type_name() const override;
 
   static net::MessagePtr make(ObjectId obj, OpId op, AbdBody body) {
     return std::make_shared<AbdMessage>(obj, op, std::move(body));

@@ -2,42 +2,8 @@
 
 #include "codes/rs.h"
 #include "common/assert.h"
-#include "net/codec.h"
 
 namespace lds::baselines {
-
-// ---- message sizes -------------------------------------------------------------
-
-std::uint64_t CasMessage::data_bytes() const {
-  return std::visit(
-      [](const auto& b) -> std::uint64_t {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, CasPreWrite>) return b.element.size();
-        if constexpr (std::is_same_v<T, CasFinAck>) return b.element.size();
-        return 0;
-      },
-      body_);
-}
-
-std::uint64_t CasMessage::meta_bytes() const {
-  // Exact: the codec's encoded frame size minus the data payload.
-  return net::codec::encoded_size(*this) - data_bytes();
-}
-
-const char* CasMessage::type_name() const {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, CasQuery>) return "CAS-QUERY";
-        else if constexpr (std::is_same_v<T, CasQueryResp>)
-          return "CAS-QUERY-RESP";
-        else if constexpr (std::is_same_v<T, CasPreWrite>) return "CAS-PRE";
-        else if constexpr (std::is_same_v<T, CasPreAck>) return "CAS-PRE-ACK";
-        else if constexpr (std::is_same_v<T, CasFinalize>) return "CAS-FIN";
-        else return "CAS-FIN-ACK";
-      },
-      body_);
-}
 
 std::shared_ptr<CasContext> make_cas_context(std::size_t n, std::size_t k,
                                              Bytes initial_value) {
@@ -77,12 +43,6 @@ CasServer::ObjectState& CasServer::object(ObjectId obj) {
 std::size_t CasServer::versions(ObjectId obj) const {
   auto it = objects_.find(obj);
   return it == objects_.end() ? 0 : it->second.elements.size();
-}
-
-Tag CasServer::max_finalized(ObjectId obj) const {
-  auto it = objects_.find(obj);
-  if (it == objects_.end() || it->second.finalized.empty()) return kTag0;
-  return *it->second.finalized.rbegin();
 }
 
 void CasServer::on_message(NodeId from, const net::MessagePtr& msg) {

@@ -36,6 +36,7 @@
 #include "codes/striped.h"
 #include "common/slice.h"
 #include "lds/history.h"
+#include "net/codec.h"
 #include "net/network.h"
 
 namespace lds::baselines {
@@ -45,30 +46,53 @@ using core::OpKind;
 
 // ---- wire protocol -----------------------------------------------------------
 
-struct CasQuery {};
+struct CasQuery {
+  static constexpr const char* kName = "CAS-QUERY";
+  static void wire(auto&, auto&) {}
+};
 struct CasQueryResp {
+  static constexpr const char* kName = "CAS-QUERY-RESP";
   Tag fin_tag;
+  static void wire(auto& m, auto& w) { w.tag(m.fin_tag); }
 };
 struct CasPreWrite {
+  static constexpr const char* kName = "CAS-PRE";
   Tag tag;
   Bytes element;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.data(m.element);
+  }
 };
 struct CasPreAck {
+  static constexpr const char* kName = "CAS-PRE-ACK";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 struct CasFinalize {
+  static constexpr const char* kName = "CAS-FIN";
   Tag tag;
   /// Readers ask servers to return their coded element of `tag`; writers
   /// only need the label recorded.
   bool want_element = false;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.flag(m.want_element);
+  }
 };
 /// Finalize response; for readers it carries the server's coded element of
 /// the finalized tag when available (has_element distinguishes an empty
 /// element from "not stored").
 struct CasFinAck {
+  static constexpr const char* kName = "CAS-FIN-ACK";
   Tag tag;
   bool has_element = false;
   Bytes element;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.flag(m.has_element);
+    w.data(m.element);
+  }
 };
 
 /// Alternative order frozen: the wire codec (net/codec.h) uses the variant
@@ -76,7 +100,7 @@ struct CasFinAck {
 using CasBody = std::variant<CasQuery, CasQueryResp, CasPreWrite, CasPreAck,
                              CasFinalize, CasFinAck>;
 
-class CasMessage final : public net::Payload {
+class CasMessage final : public net::codec::SchemaPayload<CasMessage> {
  public:
   CasMessage(ObjectId obj, OpId op, CasBody body)
       : obj_(obj), op_(op), body_(std::move(body)) {}
@@ -84,11 +108,6 @@ class CasMessage final : public net::Payload {
   ObjectId obj() const { return obj_; }
   OpId op() const override { return op_; }
   const CasBody& body() const { return body_; }
-
-  std::uint64_t data_bytes() const override;
-  /// Exact: codec frame size minus the data payload (defined in cas.cpp).
-  std::uint64_t meta_bytes() const override;
-  const char* type_name() const override;
 
   static net::MessagePtr make(ObjectId obj, OpId op, CasBody body) {
     return std::make_shared<CasMessage>(obj, op, std::move(body));
@@ -129,7 +148,6 @@ class CasServer final : public net::Node {
   /// history; see the header comment).
   std::uint64_t stored_bytes() const { return stored_bytes_; }
   std::size_t versions(ObjectId obj) const;
-  Tag max_finalized(ObjectId obj) const;
 
  private:
   struct ObjectState {

@@ -6,27 +6,35 @@
 // server state (the set K of Fig. 2; see DESIGN.md on why K is keyed by read
 // op rather than by reader alone).
 //
-// Size accounting: Bytes payloads (values, coded elements, helper data)
-// count as data; tags, ids and counters count as meta-data and are excluded
-// from normalized costs, exactly as the paper prescribes.
+// Each body struct lists its fields once, in wire order (`wire()`, see the
+// schema vocabulary in net/codec.h); the frame layout, the exact sizes and the
+// type names all derive from that list.  Size accounting: values, coded
+// elements and helper data (`payload` and `data` fields) count as data; tags,
+// ids and counters count as meta-data and are excluded from normalized costs,
+// exactly as the paper prescribes.
 #pragma once
 
 #include <variant>
 
 #include "common/slice.h"
 #include "common/types.h"
-#include "net/network.h"
+#include "net/codec.h"
 
 namespace lds::core {
 
 // ---- client <-> L1 ---------------------------------------------------------
 
 /// get-tag (Fig. 1, writer): QUERY-TAG.
-struct QueryTag {};
+struct QueryTag {
+  static constexpr const char* kName = "QUERY-TAG";
+  static void wire(auto&, auto&) {}
+};
 
 /// Response to QUERY-TAG: the max tag in the server's list L.
 struct TagResp {
+  static constexpr const char* kName = "TAG-RESP";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// put-data (Fig. 1, writer): PUT-DATA (tw, v).  The value is a shared
@@ -34,33 +42,52 @@ struct TagResp {
 /// reference ONE buffer (cost accounting still charges each message the
 /// full |v| — the refcount is a simulator artifact, not a protocol one).
 struct PutData {
+  static constexpr const char* kName = "PUT-DATA";
   Tag tag;
   Value value;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.payload(m.value);
+  }
 };
 
 /// ACK to the writer of `tag` (sent from put-data-resp or broadcast-resp).
 struct WriteAck {
+  static constexpr const char* kName = "WRITE-ACK";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// get-committed-tag (Fig. 1, reader): QUERY-COMM-TAG.
-struct QueryCommTag {};
+struct QueryCommTag {
+  static constexpr const char* kName = "QUERY-COMM-TAG";
+  static void wire(auto&, auto&) {}
+};
 
 /// Response: the server's committed tag tc.
 struct CommTagResp {
+  static constexpr const char* kName = "COMM-TAG-RESP";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// get-data (Fig. 1, reader): QUERY-DATA with the requested tag treq.
 struct QueryData {
+  static constexpr const char* kName = "QUERY-DATA";
   Tag treq;
+  static void wire(auto& m, auto& w) { w.tag(m.treq); }
 };
 
 /// A (tag, value) response to a reader (from the list L); shares the
 /// server-side buffer.
 struct DataRespValue {
+  static constexpr const char* kName = "DATA-RESP-VALUE";
   Tag tag;
   Value value;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.payload(m.value);
+  }
 };
 
 /// A (tag, coded-element) response to a reader, produced by an internal
@@ -68,26 +95,43 @@ struct DataRespValue {
 /// C this element is (the sending L1 server's index), needed to decode via C1.
 /// The element is a shared handle: the reader decodes from this buffer.
 struct DataRespCoded {
+  static constexpr const char* kName = "DATA-RESP-CODED";
   Tag tag;
   int code_index = -1;
   Value element;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.i32(m.code_index);
+    w.data(m.element);
+  }
 };
 
 /// The (bot, bot) response: regeneration failed at this server.
-struct DataRespNack {};
+struct DataRespNack {
+  static constexpr const char* kName = "DATA-RESP-NACK";
+  static void wire(auto&, auto&) {}
+};
 
 /// put-tag (Fig. 1, reader): PUT-TAG (tr).
 struct PutTag {
+  static constexpr const char* kName = "PUT-TAG";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// ACK to the reader's PUT-TAG.
-struct PutTagAck {};
+struct PutTagAck {
+  static constexpr const char* kName = "PUT-TAG-ACK";
+  static void wire(auto&, auto&) {}
+};
 
 /// Regular-consistency extension: a reader that skips the put-tag phase
 /// still removes its Gamma registration so servers stop serving it.
 /// Pure meta-data; no ACK is awaited.
-struct UnregisterReader {};
+struct UnregisterReader {
+  static constexpr const char* kName = "UNREGISTER-READER";
+  static void wire(auto&, auto&) {}
+};
 
 // ---- L1 <-> L1 (broadcast primitive) ---------------------------------------
 
@@ -96,8 +140,13 @@ struct UnregisterReader {};
 /// forwards to all of L1 on first receipt before consuming.  `bcast_id` is
 /// globally unique so that each server consumes each broadcast exactly once.
 struct CommitTag {
+  static constexpr const char* kName = "COMMIT-TAG";
   Tag tag;
   std::uint64_t bcast_id = 0;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.u64(m.bcast_id);
+  }
 };
 
 // ---- L1 <-> L2 (internal operations) ----------------------------------------
@@ -106,28 +155,42 @@ struct CommitTag {
 /// element is a shared handle: the encode cache, this message and the L2
 /// server's stored state reference ONE buffer per coordinate.
 struct WriteCodeElem {
+  static constexpr const char* kName = "WRITE-CODE-ELEM";
   Tag tag;
   Value element;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.data(m.element);
+  }
 };
 
 /// ACK-CODE-ELEM (Fig. 3 line 6).
 struct AckCodeElem {
+  static constexpr const char* kName = "ACK-CODE-ELEM";
   Tag tag;
+  static void wire(auto& m, auto& w) { w.tag(m.tag); }
 };
 
 /// regenerate-from-L2 (Fig. 2 line 39): QUERY-CODE-ELEM.  `target_index` is
 /// the code coordinate (the querying L1 server's index j) being repaired;
 /// the helper needs only this index - the MBR property of Section II-c.
 struct QueryCodeElem {
+  static constexpr const char* kName = "QUERY-CODE-ELEM";
   int target_index = -1;
+  static void wire(auto& m, auto& w) { w.i32(m.target_index); }
 };
 
 /// SEND-HELPER-ELEM (Fig. 3 line 8): (r, t, h) - the reader identity rides in
 /// the OpId.  The helper data is a shared handle: the regenerating server
 /// repairs from the buffer the helper computed.
 struct SendHelperElem {
+  static constexpr const char* kName = "SEND-HELPER-ELEM";
   Tag tag;
   Value helper;
+  static void wire(auto& m, auto& w) {
+    w.tag(m.tag);
+    w.data(m.helper);
+  }
 };
 
 /// The alternative ORDER is frozen: the wire codec (net/codec.h) uses the
@@ -139,7 +202,7 @@ using LdsBody =
                  DataRespNack, PutTag, PutTagAck, UnregisterReader, CommitTag,
                  WriteCodeElem, AckCodeElem, QueryCodeElem, SendHelperElem>;
 
-class LdsMessage final : public net::Payload {
+class LdsMessage final : public net::codec::SchemaPayload<LdsMessage> {
  public:
   LdsMessage(ObjectId obj, OpId op, LdsBody body)
       : obj_(obj), op_(op), body_(std::move(body)) {}
@@ -147,13 +210,6 @@ class LdsMessage final : public net::Payload {
   ObjectId obj() const { return obj_; }
   OpId op() const override { return op_; }
   const LdsBody& body() const { return body_; }
-
-  std::uint64_t data_bytes() const override;
-  /// Exact on-wire meta-data bytes: the codec's encoded frame size minus the
-  /// data payload (net/codec.h) — measured, not estimated.  Defined in
-  /// messages.cpp to keep this header free of the codec dependency.
-  std::uint64_t meta_bytes() const override;
-  const char* type_name() const override;
 
   static net::MessagePtr make(ObjectId obj, OpId op, LdsBody body) {
     return std::make_shared<LdsMessage>(obj, op, std::move(body));
@@ -164,57 +220,5 @@ class LdsMessage final : public net::Payload {
   OpId op_;
   LdsBody body_;
 };
-
-inline std::uint64_t LdsMessage::data_bytes() const {
-  return std::visit(
-      [](const auto& b) -> std::uint64_t {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, PutData>) return b.value.size();
-        if constexpr (std::is_same_v<T, DataRespValue>) return b.value.size();
-        if constexpr (std::is_same_v<T, DataRespCoded>)
-          return b.element.size();
-        if constexpr (std::is_same_v<T, WriteCodeElem>)
-          return b.element.size();
-        if constexpr (std::is_same_v<T, SendHelperElem>)
-          return b.helper.size();
-        return 0;
-      },
-      body_);
-}
-
-inline const char* LdsMessage::type_name() const {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, QueryTag>) return "QUERY-TAG";
-        else if constexpr (std::is_same_v<T, TagResp>) return "TAG-RESP";
-        else if constexpr (std::is_same_v<T, PutData>) return "PUT-DATA";
-        else if constexpr (std::is_same_v<T, WriteAck>) return "WRITE-ACK";
-        else if constexpr (std::is_same_v<T, QueryCommTag>)
-          return "QUERY-COMM-TAG";
-        else if constexpr (std::is_same_v<T, CommTagResp>)
-          return "COMM-TAG-RESP";
-        else if constexpr (std::is_same_v<T, QueryData>) return "QUERY-DATA";
-        else if constexpr (std::is_same_v<T, DataRespValue>)
-          return "DATA-RESP-VALUE";
-        else if constexpr (std::is_same_v<T, DataRespCoded>)
-          return "DATA-RESP-CODED";
-        else if constexpr (std::is_same_v<T, DataRespNack>)
-          return "DATA-RESP-NACK";
-        else if constexpr (std::is_same_v<T, PutTag>) return "PUT-TAG";
-        else if constexpr (std::is_same_v<T, PutTagAck>) return "PUT-TAG-ACK";
-        else if constexpr (std::is_same_v<T, UnregisterReader>)
-          return "UNREGISTER-READER";
-        else if constexpr (std::is_same_v<T, CommitTag>) return "COMMIT-TAG";
-        else if constexpr (std::is_same_v<T, WriteCodeElem>)
-          return "WRITE-CODE-ELEM";
-        else if constexpr (std::is_same_v<T, AckCodeElem>)
-          return "ACK-CODE-ELEM";
-        else if constexpr (std::is_same_v<T, QueryCodeElem>)
-          return "QUERY-CODE-ELEM";
-        else return "SEND-HELPER-ELEM";
-      },
-      body_);
-}
 
 }  // namespace lds::core

@@ -47,11 +47,6 @@ void Coordinator::stop() {
   }
 }
 
-std::uint64_t Coordinator::changes_applied() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return changes_;
-}
-
 void Coordinator::move_l2(std::vector<std::uint32_t> indices, std::string host,
                           std::uint16_t port, MoveCallback done) {
   Op op;
@@ -261,10 +256,6 @@ Status Coordinator::apply_change(View next) {
 
   begin_ack_wait(e);
   fabric_.activate(e, /*wait_for_hook=*/true);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++changes_;
-  }
   for (const ProcessId p : others) {
     (void)fabric_.send_control(p, ViewActivate{e});
   }

@@ -89,8 +89,6 @@ class Coordinator {
                std::uint16_t port, MoveCallback done);
 
   std::uint64_t epoch() const { return fabric_.epoch(); }
-  /// Epochs this coordinator activated (for status output).
-  std::uint64_t changes_applied() const;
 
   void stop();
 
@@ -140,7 +138,6 @@ class Coordinator {
   std::condition_variable cv_;
   std::deque<Op> queue_;
   bool stopping_ = false;
-  std::uint64_t changes_ = 0;
 
   // Ack collection (progress threads write, worker waits).
   std::mutex ack_mu_;

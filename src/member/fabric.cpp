@@ -57,11 +57,6 @@ View Fabric::view() const {
   return active_;
 }
 
-std::optional<View> Fabric::pending_view() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pending_;
-}
-
 void Fabric::set_initial_view(View v) {
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -111,7 +111,6 @@ class Fabric {
 
   std::uint64_t epoch() const;
   View view() const;
-  std::optional<View> pending_view() const;
 
   /// Bootstrap only (active epoch still 0): install `v` without running the
   /// view-change hook — deployments construct their servers directly from

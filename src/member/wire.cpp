@@ -1,249 +1,11 @@
 #include "member/wire.h"
 
-#include "common/assert.h"
-
 namespace lds::member {
 
-namespace {
-
-using net::codec::Family;
-using net::codec::FamilyCodec;
-using net::codec::kFrameOverheadBytes;
-using net::codec::overloaded;
-using net::codec::Reader;
-using net::codec::WireInfo;
-using net::codec::Writer;
-
-Status truncated(const std::string& what) {
-  return net::codec::truncated_frame(what);
-}
-
-/// Wire layouts (after the generic header; member frames carry no payload):
-///   0 Hello        u32 process | u64 epoch | u16 port
-///   1 Envelope     u64 epoch | i32 from | i32 to
-///   2 StaleEpoch   u64 epoch
-///   3 JoinRequest  u16 port | u32 count | count x i32 node
-///   4 ViewPropose  view-blob
-///   5 ViewAck      u64 epoch | u8 ok
-///   6 ViewActivate u64 epoch
-///   7 ViewFetch    (empty)
-///   8 SyncL2       u64 epoch | u32 index | u32 count | count x u32 obj
-///   9 SyncDone     u64 epoch | u32 index | u32 repaired | u32 failed
-class MemberCodec final : public FamilyCodec {
- public:
-  const char* name() const override { return "member"; }
-
-  bool encode_body(const net::Payload& msg, Writer& w,
-                   WireInfo* info) const override {
-    const auto* m = dynamic_cast<const MemberMessage*>(&msg);
-    if (m == nullptr) return false;
-    info->type = static_cast<std::uint8_t>(m->body().index());
-    std::visit(
-        overloaded{
-            [&](const Hello& b) {
-              w.u32(b.process);
-              w.u64(b.epoch);
-              w.u16(b.listen_port);
-            },
-            [&](const Envelope& b) {
-              w.u64(b.epoch);
-              w.i32(b.from);
-              w.i32(b.to);
-            },
-            [&](const StaleEpoch& b) { w.u64(b.epoch); },
-            [&](const JoinRequest& b) {
-              w.u16(b.listen_port);
-              w.u32(static_cast<std::uint32_t>(b.claims.size()));
-              for (const NodeId id : b.claims) w.i32(id);
-            },
-            [&](const ViewPropose& b) { w.blob(b.view); },
-            [&](const ViewAck& b) {
-              w.u64(b.epoch);
-              w.u8(b.ok ? 1 : 0);
-            },
-            [&](const ViewActivate& b) { w.u64(b.epoch); },
-            [&](const ViewFetch&) {},
-            [&](const SyncL2& b) {
-              w.u64(b.epoch);
-              w.u32(b.l2_index);
-              w.u32(static_cast<std::uint32_t>(b.objects.size()));
-              for (const ObjectId o : b.objects) w.u32(o);
-            },
-            [&](const SyncDone& b) {
-              w.u64(b.epoch);
-              w.u32(b.l2_index);
-              w.u32(b.repaired);
-              w.u32(b.failed);
-            },
-        },
-        m->body());
-    return true;
-  }
-
-  bool size_of(const net::Payload& msg, std::uint64_t* size) const override {
-    const auto* m = dynamic_cast<const MemberMessage*>(&msg);
-    if (m == nullptr) return false;
-    constexpr std::uint64_t kBase = kFrameOverheadBytes;
-    *size = std::visit(
-        overloaded{
-            [](const Hello&) -> std::uint64_t { return kBase + 4 + 8 + 2; },
-            [](const Envelope&) -> std::uint64_t { return kBase + 8 + 4 + 4; },
-            [](const StaleEpoch&) -> std::uint64_t { return kBase + 8; },
-            [](const JoinRequest& b) -> std::uint64_t {
-              return kBase + 2 + 4 + 4 * b.claims.size();
-            },
-            [](const ViewPropose& b) -> std::uint64_t {
-              return kBase + 4 + b.view.size();
-            },
-            [](const ViewAck&) -> std::uint64_t { return kBase + 8 + 1; },
-            [](const ViewActivate&) -> std::uint64_t { return kBase + 8; },
-            [](const ViewFetch&) -> std::uint64_t { return kBase; },
-            [](const SyncL2& b) -> std::uint64_t {
-              return kBase + 8 + 4 + 4 + 4 * b.objects.size();
-            },
-            [](const SyncDone&) -> std::uint64_t {
-              return kBase + 8 + 4 + 4 + 4;
-            },
-        },
-        m->body());
-    return true;
-  }
-
-  Status decode_body(std::uint8_t type, ObjectId obj, OpId op, Reader& r,
-                     net::MessagePtr* out) const override {
-    (void)obj;
-    (void)op;
-    MemberBody body;
-    switch (type) {
-      case 0: {
-        Hello b;
-        if (!r.u32(&b.process) || !r.u64(&b.epoch) || !r.u16(&b.listen_port)) {
-          return truncated("Hello");
-        }
-        body = b;
-        break;
-      }
-      case 1: {
-        Envelope b;
-        if (!r.u64(&b.epoch) || !r.i32(&b.from) || !r.i32(&b.to)) {
-          return truncated("Envelope");
-        }
-        body = b;
-        break;
-      }
-      case 2: {
-        StaleEpoch b;
-        if (!r.u64(&b.epoch)) return truncated("StaleEpoch");
-        body = b;
-        break;
-      }
-      case 3: {
-        JoinRequest b;
-        std::uint32_t count = 0;
-        if (!r.u16(&b.listen_port) || !r.u32(&count)) {
-          return truncated("JoinRequest");
-        }
-        if (count > r.remaining() / 4) return truncated("JoinRequest.claims");
-        b.claims.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          NodeId id = kNoNode;
-          if (!r.i32(&id)) return truncated("JoinRequest.claim");
-          b.claims.push_back(id);
-        }
-        body = std::move(b);
-        break;
-      }
-      case 4: {
-        ViewPropose b;
-        if (!r.blob(&b.view)) return truncated("ViewPropose.view");
-        body = std::move(b);
-        break;
-      }
-      case 5: {
-        ViewAck b;
-        std::uint8_t ok = 0;
-        if (!r.u64(&b.epoch) || !r.u8(&ok)) return truncated("ViewAck");
-        b.ok = ok != 0;
-        body = b;
-        break;
-      }
-      case 6: {
-        ViewActivate b;
-        if (!r.u64(&b.epoch)) return truncated("ViewActivate");
-        body = b;
-        break;
-      }
-      case 7:
-        body = ViewFetch{};
-        break;
-      case 8: {
-        SyncL2 b;
-        std::uint32_t count = 0;
-        if (!r.u64(&b.epoch) || !r.u32(&b.l2_index) || !r.u32(&count)) {
-          return truncated("SyncL2");
-        }
-        if (count > r.remaining() / 4) return truncated("SyncL2.objects");
-        b.objects.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          ObjectId o = 0;
-          if (!r.u32(&o)) return truncated("SyncL2.object");
-          b.objects.push_back(o);
-        }
-        body = std::move(b);
-        break;
-      }
-      case 9: {
-        SyncDone b;
-        if (!r.u64(&b.epoch) || !r.u32(&b.l2_index) || !r.u32(&b.repaired) ||
-            !r.u32(&b.failed)) {
-          return truncated("SyncDone");
-        }
-        body = b;
-        break;
-      }
-      default:
-        return Status::InvalidArgument("unknown member type id " +
-                                       std::to_string(type));
-    }
-    if (!r.exhausted()) return truncated("member frame: trailing bytes");
-    *out = MemberMessage::make(std::move(body));
-    return Status::Ok();
-  }
-};
-
-}  // namespace
-
-std::uint64_t MemberMessage::meta_bytes() const {
-  return net::codec::encoded_size(*this);
-}
-
-const char* MemberMessage::type_name() const {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, Hello>) return "MEMBER-HELLO";
-        else if constexpr (std::is_same_v<T, Envelope>) return "MEMBER-ENV";
-        else if constexpr (std::is_same_v<T, StaleEpoch>)
-          return "MEMBER-STALE-EPOCH";
-        else if constexpr (std::is_same_v<T, JoinRequest>)
-          return "MEMBER-JOIN";
-        else if constexpr (std::is_same_v<T, ViewPropose>)
-          return "MEMBER-VIEW-PROPOSE";
-        else if constexpr (std::is_same_v<T, ViewAck>) return "MEMBER-VIEW-ACK";
-        else if constexpr (std::is_same_v<T, ViewActivate>)
-          return "MEMBER-VIEW-ACTIVATE";
-        else if constexpr (std::is_same_v<T, ViewFetch>)
-          return "MEMBER-VIEW-FETCH";
-        else if constexpr (std::is_same_v<T, SyncL2>) return "MEMBER-SYNC-L2";
-        else return "MEMBER-SYNC-DONE";
-      },
-      body_);
-}
-
 void register_member_wire() {
-  static const MemberCodec codec;
+  static const net::codec::SchemaCodec<MemberMessage> codec("member");
   static const bool once = [] {
-    net::codec::register_family(Family::Member, &codec);
+    net::codec::register_family(net::codec::Family::Member, &codec);
     return true;
   }();
   (void)once;

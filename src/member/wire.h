@@ -40,50 +40,94 @@ namespace lds::member {
 /// a joining peer that has no id yet) and where the dialer can be dialed
 /// back (its member listen port).
 struct Hello {
+  static constexpr const char* kName = "MEMBER-HELLO";
   ProcessId process = kNoProcess;
   std::uint64_t epoch = 0;
   std::uint16_t listen_port = 0;
+  static void wire(auto& m, auto& w) {
+    w.u32(m.process);
+    w.u64(m.epoch);
+    w.u16(m.listen_port);
+  }
 };
 /// Precedes one cross-process protocol frame (see pairing rule above).
 struct Envelope {
+  static constexpr const char* kName = "MEMBER-ENV";
   std::uint64_t epoch = 0;
   NodeId from = kNoNode;
   NodeId to = kNoNode;
+  static void wire(auto& m, auto& w) {
+    w.u64(m.epoch);
+    w.i32(m.from);
+    w.i32(m.to);
+  }
 };
 /// Nack for an envelope under an old epoch: tells the sender the receiver's
 /// active epoch so it can ViewFetch the current view.
 struct StaleEpoch {
+  static constexpr const char* kName = "MEMBER-STALE-EPOCH";
   std::uint64_t epoch = 0;
+  static void wire(auto& m, auto& w) { w.u64(m.epoch); }
 };
 /// Peer -> coordinator: admit me, place `claims` (L2 node ids) on me.
 struct JoinRequest {
+  static constexpr const char* kName = "MEMBER-JOIN";
   std::uint16_t listen_port = 0;
   std::vector<NodeId> claims;
+  static void wire(auto& m, auto& w) {
+    w.u16(m.listen_port);
+    w.list(m.claims);
+  }
 };
 struct ViewPropose {
+  static constexpr const char* kName = "MEMBER-VIEW-PROPOSE";
   Bytes view;  ///< View::encode_bytes()
+  static void wire(auto& m, auto& w) { w.blob(m.view); }
 };
 struct ViewAck {
+  static constexpr const char* kName = "MEMBER-VIEW-ACK";
   std::uint64_t epoch = 0;
   bool ok = true;
+  static void wire(auto& m, auto& w) {
+    w.u64(m.epoch);
+    w.flag(m.ok);
+  }
 };
 struct ViewActivate {
+  static constexpr const char* kName = "MEMBER-VIEW-ACTIVATE";
   std::uint64_t epoch = 0;
+  static void wire(auto& m, auto& w) { w.u64(m.epoch); }
 };
 /// Ask the coordinator to resend the active view (propose + activate).
-struct ViewFetch {};
+struct ViewFetch {
+  static constexpr const char* kName = "MEMBER-VIEW-FETCH";
+  static void wire(auto&, auto&) {}
+};
 /// Coordinator -> peer: rebuild L2 server `l2_index` from its quorum peers
 /// (core::regenerate_objects over the fabric) for each listed object.
 struct SyncL2 {
+  static constexpr const char* kName = "MEMBER-SYNC-L2";
   std::uint64_t epoch = 0;
   std::uint32_t l2_index = 0;
   std::vector<ObjectId> objects;
+  static void wire(auto& m, auto& w) {
+    w.u64(m.epoch);
+    w.u32(m.l2_index);
+    w.list(m.objects);
+  }
 };
 struct SyncDone {
+  static constexpr const char* kName = "MEMBER-SYNC-DONE";
   std::uint64_t epoch = 0;
   std::uint32_t l2_index = 0;
   std::uint32_t repaired = 0;
   std::uint32_t failed = 0;  ///< objects left when the server went away
+  static void wire(auto& m, auto& w) {
+    w.u64(m.epoch);
+    w.u32(m.l2_index);
+    w.u32(m.repaired);
+    w.u32(m.failed);
+  }
 };
 
 /// Alternative order frozen: the wire codec uses the variant index as the
@@ -92,15 +136,11 @@ using MemberBody =
     std::variant<Hello, Envelope, StaleEpoch, JoinRequest, ViewPropose,
                  ViewAck, ViewActivate, ViewFetch, SyncL2, SyncDone>;
 
-class MemberMessage final : public net::Payload {
+class MemberMessage final : public net::codec::SchemaPayload<MemberMessage> {
  public:
   explicit MemberMessage(MemberBody body) : body_(std::move(body)) {}
 
   const MemberBody& body() const { return body_; }
-
-  std::uint64_t data_bytes() const override { return 0; }  // all meta
-  std::uint64_t meta_bytes() const override;               ///< exact, codec
-  const char* type_name() const override;
 
   static net::MessagePtr make(MemberBody body) {
     return std::make_shared<MemberMessage>(std::move(body));

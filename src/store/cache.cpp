@@ -50,12 +50,6 @@ bool ReadCache::invalidate(const std::string& key) {
   return true;
 }
 
-void ReadCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 std::size_t ReadCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return index_.size();

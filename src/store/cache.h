@@ -62,7 +62,6 @@ class ReadCache {
   /// Drop the entry; returns whether one existed (for metrics).
   bool invalidate(const std::string& key);
 
-  void clear();
   std::size_t size() const;
   const CacheOptions& options() const { return opt_; }
 

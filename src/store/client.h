@@ -306,10 +306,6 @@ class Client {
   bool cache_enabled() const { return cache_ != nullptr; }
   /// Entries currently cached (0 when disabled).
   std::size_t cache_size() const { return cache_ ? cache_->size() : 0; }
-  /// Drop every cached entry (the options stay in force).
-  void cache_clear() {
-    if (cache_) cache_->clear();
-  }
 
  private:
   /// One settle-once operation, local or remote (see client.cpp).

@@ -8,191 +8,7 @@ namespace lds::store {
 
 namespace {
 
-using net::codec::Family;
-using net::codec::FamilyCodec;
-using net::codec::kFrameOverheadBytes;
-using net::codec::kTagWireBytes;
 using net::codec::overloaded;
-using net::codec::Reader;
-using net::codec::WireInfo;
-using net::codec::Writer;
-
-Status truncated(const std::string& what) {
-  return net::codec::truncated_frame(what);
-}
-
-/// Wire layouts (after the generic header, whose payload-length field names
-/// the trailing value extent):
-///   0 RemotePut    key-blob | value payload
-///   1 RemoteGet    u8 mode | key-blob
-///   2 RemotePutIf  u8 expected_known | tag | key-blob | value payload
-///   3 RemoteReply  u8 code | msg-blob | u8 version_known | tag |
-///                  u8 coalesced | u8 has_value | value payload
-///   4 RemoteReconfig u8 op | u16 port | host-blob | u32 count |
-///                  count x u32 l2-index
-class StoreCodec final : public FamilyCodec {
- public:
-  const char* name() const override { return "store"; }
-
-  bool encode_body(const net::Payload& msg, Writer& w,
-                   WireInfo* info) const override {
-    const auto* m = dynamic_cast<const RemoteMessage*>(&msg);
-    if (m == nullptr) return false;
-    info->type = static_cast<std::uint8_t>(m->body().index());
-    info->op = m->op();
-    std::visit(
-        overloaded{
-            [&](const RemotePut& b) {
-              w.blob(b.key);
-              info->has_body = true;
-              info->body = b.value;
-            },
-            [&](const RemoteGet& b) {
-              w.u8(static_cast<std::uint8_t>(b.mode));
-              w.blob(b.key);
-            },
-            [&](const RemotePutIf& b) {
-              w.u8(b.expected.known() ? 1 : 0);
-              w.tag(b.expected.tag());
-              w.blob(b.key);
-              info->has_body = true;
-              info->body = b.value;
-            },
-            [&](const RemoteReply& b) {
-              w.u8(static_cast<std::uint8_t>(b.code));
-              w.blob(b.message);
-              w.u8(b.version_known ? 1 : 0);
-              w.tag(b.tag);
-              w.u8(b.coalesced ? 1 : 0);
-              w.u8(b.has_value ? 1 : 0);
-              info->has_body = true;
-              info->body = b.value;
-            },
-            [&](const RemoteReconfig& b) {
-              w.u8(b.op);
-              w.u16(b.port);
-              w.blob(b.host);
-              w.u32(static_cast<std::uint32_t>(b.l2_indices.size()));
-              for (const std::uint32_t i : b.l2_indices) w.u32(i);
-            },
-        },
-        m->body());
-    return true;
-  }
-
-  bool size_of(const net::Payload& msg, std::uint64_t* size) const override {
-    const auto* m = dynamic_cast<const RemoteMessage*>(&msg);
-    if (m == nullptr) return false;
-    constexpr std::uint64_t kBase = kFrameOverheadBytes;
-    constexpr std::uint64_t kTag = kTagWireBytes;
-    *size = std::visit(
-        overloaded{
-            [](const RemotePut& b) -> std::uint64_t {
-              return kBase + 4 + b.key.size() + b.value.size();
-            },
-            [](const RemoteGet& b) -> std::uint64_t {
-              return kBase + 1 + 4 + b.key.size();
-            },
-            [](const RemotePutIf& b) -> std::uint64_t {
-              return kBase + 1 + kTag + 4 + b.key.size() + b.value.size();
-            },
-            [](const RemoteReply& b) -> std::uint64_t {
-              return kBase + 1 + 4 + b.message.size() + 1 + kTag + 1 + 1 +
-                     b.value.size();
-            },
-            [](const RemoteReconfig& b) -> std::uint64_t {
-              return kBase + 1 + 2 + 4 + b.host.size() + 4 +
-                     4 * b.l2_indices.size();
-            },
-        },
-        m->body());
-    return true;
-  }
-
-  Status decode_body(std::uint8_t type, ObjectId obj, OpId op, Reader& r,
-                     net::MessagePtr* out) const override {
-    (void)obj;
-    RemoteBody body;
-    switch (type) {
-      case 0: {
-        RemotePut b;
-        if (!r.blob(&b.key)) return truncated("RemotePut.key");
-        if (!r.value(&b.value)) return truncated("RemotePut.value");
-        body = std::move(b);
-        break;
-      }
-      case 1: {
-        RemoteGet b;
-        std::uint8_t mode = 0;
-        if (!r.u8(&mode)) return truncated("RemoteGet.mode");
-        if (mode > static_cast<std::uint8_t>(ReadMode::TagOnly)) {
-          return Status::InvalidArgument("unknown read mode " +
-                                         std::to_string(mode));
-        }
-        b.mode = static_cast<ReadMode>(mode);
-        if (!r.blob(&b.key)) return truncated("RemoteGet.key");
-        body = std::move(b);
-        break;
-      }
-      case 2: {
-        RemotePutIf b;
-        std::uint8_t known = 0;
-        Tag expected;
-        if (!r.u8(&known) || !r.tag(&expected)) {
-          return truncated("RemotePutIf.expected");
-        }
-        b.expected = known != 0 ? Version(expected) : Version();
-        if (!r.blob(&b.key)) return truncated("RemotePutIf.key");
-        if (!r.value(&b.value)) return truncated("RemotePutIf.value");
-        body = std::move(b);
-        break;
-      }
-      case 3: {
-        RemoteReply b;
-        std::uint8_t code = 0, known = 0, coalesced = 0, has = 0;
-        if (!r.u8(&code)) return truncated("RemoteReply.code");
-        if (code > static_cast<std::uint8_t>(StatusCode::kInvalidArgument)) {
-          return Status::InvalidArgument("unknown status code " +
-                                         std::to_string(code));
-        }
-        b.code = static_cast<StatusCode>(code);
-        if (!r.blob(&b.message)) return truncated("RemoteReply.message");
-        if (!r.u8(&known) || !r.tag(&b.tag) || !r.u8(&coalesced) ||
-            !r.u8(&has)) {
-          return truncated("RemoteReply.version");
-        }
-        b.version_known = known != 0;
-        b.coalesced = coalesced != 0;
-        b.has_value = has != 0;
-        if (!r.value(&b.value)) return truncated("RemoteReply.value");
-        body = std::move(b);
-        break;
-      }
-      case 4: {
-        RemoteReconfig b;
-        std::uint32_t count = 0;
-        if (!r.u8(&b.op) || !r.u16(&b.port) || !r.blob(&b.host) ||
-            !r.u32(&count)) {
-          return truncated("RemoteReconfig");
-        }
-        if (count > r.remaining() / 4) return truncated("RemoteReconfig.l2");
-        b.l2_indices.reserve(count);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          std::uint32_t idx = 0;
-          if (!r.u32(&idx)) return truncated("RemoteReconfig.l2");
-          b.l2_indices.push_back(idx);
-        }
-        body = std::move(b);
-        break;
-      }
-      default:
-        return Status::InvalidArgument("unknown store type id " +
-                                       std::to_string(type));
-    }
-    *out = RemoteMessage::make(op, std::move(body));
-    return Status::Ok();
-  }
-};
 
 RemoteReply reply_of_put(const PutResult& pr) {
   RemoteReply r;
@@ -238,45 +54,10 @@ GetResult to_get_result(const RemoteReply& r) {
   return GetResult::failure(Status::FromCode(r.code, r.message));
 }
 
-// ---- RemoteMessage -----------------------------------------------------------
-
-std::uint64_t RemoteMessage::data_bytes() const {
-  return std::visit(
-      [](const auto& b) -> std::uint64_t {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, RemoteGet> ||
-                      std::is_same_v<T, RemoteReconfig>) {
-          return 0;
-        } else {
-          return b.value.size();
-        }
-      },
-      body_);
-}
-
-std::uint64_t RemoteMessage::meta_bytes() const {
-  return net::codec::encoded_size(*this) - data_bytes();
-}
-
-const char* RemoteMessage::type_name() const {
-  return std::visit(
-      [](const auto& b) -> const char* {
-        using T = std::decay_t<decltype(b)>;
-        if constexpr (std::is_same_v<T, RemotePut>) return "STORE-PUT";
-        else if constexpr (std::is_same_v<T, RemoteGet>) return "STORE-GET";
-        else if constexpr (std::is_same_v<T, RemotePutIf>)
-          return "STORE-PUT-IF";
-        else if constexpr (std::is_same_v<T, RemoteReconfig>)
-          return "STORE-RECONFIG";
-        else return "STORE-REPLY";
-      },
-      body_);
-}
-
 void register_store_wire() {
-  static const StoreCodec codec;
+  static const net::codec::SchemaCodec<RemoteMessage> codec("store");
   static const bool once = [] {
-    net::codec::register_family(Family::Store, &codec);
+    net::codec::register_family(net::codec::Family::Store, &codec);
     return true;
   }();
   (void)once;

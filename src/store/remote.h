@@ -1,7 +1,8 @@
 // The store RPC family: serve a StoreService to remote store::Clients.
 //
-// Four wire messages (codec Family::Store, net/codec.h) carry the client API
-// over a TcpTransport (net/transport.h):
+// Five wire messages (codec Family::Store, net/codec.h) carry the client API
+// over a TcpTransport (net/transport.h); each struct's wire() below is its
+// frame layout:
 //
 //   RemotePut      { key, value }               -> RemoteReply
 //   RemoteGet      { key, read mode }           -> RemoteReply (value; mode
@@ -45,22 +46,39 @@ namespace lds::store {
 // ---- wire messages -----------------------------------------------------------
 
 struct RemotePut {
+  static constexpr const char* kName = "STORE-PUT";
   std::string key;
   Value value;
+  static void wire(auto& m, auto& w) {
+    w.blob(m.key);
+    w.payload(m.value);
+  }
 };
 struct RemoteGet {
+  static constexpr const char* kName = "STORE-GET";
   std::string key;
   ReadMode mode = ReadMode::Atomic;
+  static void wire(auto& m, auto& w) {
+    w.code(m.mode, ReadMode::TagOnly);
+    w.blob(m.key);
+  }
 };
 struct RemotePutIf {
+  static constexpr const char* kName = "STORE-PUT-IF";
   std::string key;
   Value value;
   Version expected;
+  static void wire(auto& m, auto& w) {
+    w.version(m.expected);
+    w.blob(m.key);
+    w.payload(m.value);
+  }
 };
 /// One reply shape serves every request kind.  `version_known`/`tag` carry
 /// the committed/observed Version (including the observed version an
 /// Aborted conditional put reports); `has_value` marks a get's payload.
 struct RemoteReply {
+  static constexpr const char* kName = "STORE-REPLY";
   StatusCode code = StatusCode::kOk;
   std::string message;  ///< Status context (empty when ok)
   bool version_known = false;
@@ -68,6 +86,15 @@ struct RemoteReply {
   bool coalesced = false;  ///< puts: absorbed by a newer same-key write
   bool has_value = false;
   Value value;
+  static void wire(auto& m, auto& w) {
+    w.code(m.code, StatusCode::kInvalidArgument);
+    w.blob(m.message);
+    w.flag(m.version_known);
+    w.tag(m.tag);
+    w.flag(m.coalesced);
+    w.flag(m.has_value);
+    w.payload(m.value);
+  }
 };
 
 /// Admin: drive the service's membership coordinator (member/coordinator.h).
@@ -76,10 +103,17 @@ struct RemoteReply {
 /// process).  The reply's `tag.z` carries the resulting epoch.  Services
 /// without a fabric answer InvalidArgument.
 struct RemoteReconfig {
+  static constexpr const char* kName = "STORE-RECONFIG";
   std::uint8_t op = 0;
   std::vector<std::uint32_t> l2_indices;
   std::string host;
   std::uint16_t port = 0;
+  static void wire(auto& m, auto& w) {
+    w.u8(m.op);
+    w.u16(m.port);
+    w.blob(m.host);
+    w.list(m.l2_indices);
+  }
 };
 
 /// Alternative order frozen: the wire codec uses the variant index as the
@@ -87,7 +121,7 @@ struct RemoteReconfig {
 using RemoteBody =
     std::variant<RemotePut, RemoteGet, RemotePutIf, RemoteReply, RemoteReconfig>;
 
-class RemoteMessage final : public net::Payload {
+class RemoteMessage final : public net::codec::SchemaPayload<RemoteMessage> {
  public:
   RemoteMessage(OpId request_id, RemoteBody body)
       : request_(request_id), body_(std::move(body)) {}
@@ -95,10 +129,6 @@ class RemoteMessage final : public net::Payload {
   /// The per-connection request id (rides the frame's OpId field).
   OpId op() const override { return request_; }
   const RemoteBody& body() const { return body_; }
-
-  std::uint64_t data_bytes() const override;
-  std::uint64_t meta_bytes() const override;  ///< exact, via the codec
-  const char* type_name() const override;
 
   static net::MessagePtr make(OpId request_id, RemoteBody body) {
     return std::make_shared<RemoteMessage>(request_id, std::move(body));

@@ -47,8 +47,6 @@ class ShardRouter {
   bool is_live(std::size_t shard) const;
 
   std::size_t num_live() const { return live_count_; }
-  /// Total shard ids ever created (live or removed).
-  std::size_t num_ids() const { return live_.size(); }
 
   /// Map shard ids onto execution-engine lanes (see net/engine.h): shard s
   /// runs on lane s % num_lanes, so shards spread evenly and a

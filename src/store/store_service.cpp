@@ -789,16 +789,6 @@ GetResult StoreService::get_sync(const std::string& key, ReadMode mode) {
       });
 }
 
-PutResult StoreService::put_if_sync(const std::string& key, Value value,
-                                    Version expected) {
-  return run_op_sync<PutResult>(
-      engine_.get(),
-      "put_if_sync: simulation drained before completion", [&](auto done) {
-        put_if(key, std::move(value), expected,
-               [done = std::move(done)](const PutResult& r) { done(r); });
-      });
-}
-
 // ---- crash injection & quiescence -------------------------------------------
 
 bool StoreService::inject_crash_on_lane(std::size_t shard, Rng& rng) {

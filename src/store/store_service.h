@@ -260,8 +260,6 @@ class StoreService {
   PutResult put_sync(const std::string& key, Value value);
   GetResult get_sync(const std::string& key,
                      ReadMode mode = ReadMode::Atomic);
-  PutResult put_if_sync(const std::string& key, Value value,
-                        Version expected);
 
   // ---- remote serving --------------------------------------------------------
   /// Serve remote store::Clients (store/remote.h) on 127.0.0.1:`port`

@@ -1,10 +1,12 @@
 // The wire codec (src/net/codec.h): seeded randomized
 // encode -> decode -> re-encode identity over every message type of every
-// family (LDS, ABD, CAS, heartbeat, store RPC), exact meta-byte accounting,
-// hostile-input robustness (truncated / oversized / bad-magic /
-// unknown-version frames reject with InvalidArgument, never crash), and a
-// TcpTransport loopback smoke test driving put/get/multi_get against a
-// listening StoreService.
+// family (LDS, ABD, CAS, heartbeat, store RPC), wire bytes pinned to fixed
+// checksums for every type of every family (member included), exact
+// meta-byte accounting, hostile-input robustness (truncated / oversized /
+// bad-magic / unknown-version frames, out-of-range enums and oversized list
+// counts reject with InvalidArgument, never crash), and a TcpTransport
+// loopback smoke test driving put/get/multi_get against a listening
+// StoreService.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,16 +17,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <set>
 #include <thread>
+#include <typeinfo>
 
 #include "baselines/abd.h"
 #include "baselines/cas.h"
 #include "common/rng.h"
 #include "lds/heartbeat.h"
 #include "lds/messages.h"
+#include "member/wire.h"
 #include "net/codec.h"
 #include "net/transport.h"
+#include "storage/crc32c.h"
 #include "store/client.h"
 #include "store/remote.h"
 
@@ -318,6 +325,276 @@ TEST(Codec, RejectsHeaderPayloadOverrunAndMisplacedPayload) {
   evil = 2;
   std::memcpy(w2.data() + pay_off, &evil, 4);
   expect_rejected(w2, "payload on payload-free type");
+}
+
+// ---- pinned wire bytes -----------------------------------------------------
+
+/// One fixed message and what its frame must be: size + CRC32C of the whole
+/// frame, the meta/data split and the type name.  The round-trip tests only
+/// check each encoder against its own decoder; these values catch a field
+/// reordered consistently on both sides (or any other layout drift).
+struct Pinned {
+  MessagePtr msg;
+  std::uint64_t size;
+  std::uint32_t crc;
+  std::uint64_t meta;
+  std::uint64_t data;
+  const char* name;
+};
+
+std::string hex(const Bytes& b) {
+  std::string out;
+  char buf[3];
+  for (const std::uint8_t x : b) {
+    std::snprintf(buf, sizeof buf, "%02x", x);
+    out += buf;
+  }
+  return out;
+}
+
+std::vector<Pinned> pinned_frames() {
+  using namespace lds::core;
+  using namespace lds::baselines;
+  using namespace lds::store;
+  using namespace lds::member;
+  register_store_wire();
+  register_member_wire();
+  const ObjectId obj = 0x21222324;
+  const OpId op = 0x3132333435363738ull;
+  const Tag t{0x0102030405060708ull, 0x11121314};
+  const Bytes five{0xa1, 0xa2, 0xa3, 0xa4, 0xa5};
+  const Value pay(five);
+  const auto lds = [&](LdsBody b) { return LdsMessage::make(obj, op, b); };
+  const auto abd = [&](AbdBody b) { return AbdMessage::make(obj, op, b); };
+  const auto cas = [&](CasBody b) { return CasMessage::make(obj, op, b); };
+  const auto st = [&](RemoteBody b) { return RemoteMessage::make(op, b); };
+  const auto mem = [](MemberBody b) { return MemberMessage::make(b); };
+  RemoteReply bare;
+  bare.tag = t;
+  RemoteReply full;
+  full.code = StatusCode::kAborted;
+  full.message = "stale";
+  full.version_known = true;
+  full.tag = t;
+  full.coalesced = true;
+  full.has_value = true;
+  full.value = pay;
+  return {
+      {lds(QueryTag{}), 25, 0x1dbb76fc, 25, 0, "QUERY-TAG"},
+      {lds(TagResp{t}), 37, 0x28502a66, 37, 0, "TAG-RESP"},
+      {lds(PutData{t, Value()}), 37, 0x35d001f8, 37, 0, "PUT-DATA"},
+      {lds(PutData{t, pay}), 42, 0xf2be4f32, 37, 5, "PUT-DATA"},
+      {lds(WriteAck{t}), 37, 0xc20bcadd, 37, 0, "WRITE-ACK"},
+      {lds(QueryCommTag{}), 25, 0x67c47171, 25, 0, "QUERY-COMM-TAG"},
+      {lds(CommTagResp{t}), 37, 0xf90b9de1, 37, 0, "COMM-TAG-RESP"},
+      {lds(QueryData{t}), 37, 0xe48bb67f, 37, 0, "QUERY-DATA"},
+      {lds(DataRespValue{t, Value()}), 37, 0x13507d5a, 37, 0,
+       "DATA-RESP-VALUE"},
+      {lds(DataRespValue{t, pay}), 42, 0x72749d56, 37, 5, "DATA-RESP-VALUE"},
+      {lds(DataRespCoded{t, 0x41424344, Value()}), 45, 0xdfe351c6, 45, 0,
+       "DATA-RESP-CODED"},
+      {lds(DataRespCoded{t, 0x41424344, pay}), 50, 0xa632b97c, 45, 5,
+       "DATA-RESP-CODED"},
+      {lds(DataRespNack{}), 25, 0xb6a1a5b9, 25, 0, "DATA-RESP-NACK"},
+      {lds(PutTag{t}), 37, 0x928b1807, 37, 0, "PUT-TAG"},
+      {lds(PutTagAck{}), 25, 0x09681d07, 25, 0, "PUT-TAG-ACK"},
+      {lds(UnregisterReader{}), 25, 0x933a7e6b, 25, 0, "UNREGISTER-READER"},
+      {lds(CommitTag{t, 0x5152535455565758ull}), 45, 0x3082a913, 45, 0,
+       "COMMIT-TAG"},
+      {lds(WriteCodeElem{t, Value()}), 41, 0xb9400d15, 41, 0,
+       "WRITE-CODE-ELEM"},
+      {lds(WriteCodeElem{t, pay}), 46, 0xfe82cc82, 41, 5, "WRITE-CODE-ELEM"},
+      {lds(AckCodeElem{t}), 37, 0xb40b64a5, 37, 0, "ACK-CODE-ELEM"},
+      {lds(QueryCodeElem{0x41424344}), 29, 0x0856e448, 29, 0,
+       "QUERY-CODE-ELEM"},
+      {lds(SendHelperElem{t, Value()}), 41, 0x51dd0176, 41, 0,
+       "SEND-HELPER-ELEM"},
+      {lds(SendHelperElem{t, pay}), 46, 0x092eefb5, 41, 5, "SEND-HELPER-ELEM"},
+      {abd(AbdQuery{false}), 26, 0x23858874, 26, 0, "ABD-QUERY"},
+      {abd(AbdQuery{true}), 26, 0xd1ee0b77, 26, 0, "ABD-QUERY"},
+      {abd(AbdQueryResp{t, Value()}), 37, 0x3deb6b6f, 37, 0, "ABD-QUERY-RESP"},
+      {abd(AbdQueryResp{t, pay}), 42, 0x50654562, 37, 5, "ABD-QUERY-RESP"},
+      {abd(AbdUpdate{t, Value()}), 37, 0x206b40f1, 37, 0, "ABD-UPDATE"},
+      {abd(AbdUpdate{t, pay}), 42, 0xd378d911, 37, 5, "ABD-UPDATE"},
+      {abd(AbdUpdateAck{t}), 37, 0xd7b08bd4, 37, 0, "ABD-UPDATE-ACK"},
+      {cas(CasQuery{}), 25, 0x036972aa, 25, 0, "CAS-QUERY"},
+      {cas(CasQueryResp{t}), 37, 0x0326a874, 37, 0, "CAS-QUERY-RESP"},
+      {cas(CasPreWrite{t, Bytes{}}), 41, 0xf3b07460, 41, 0, "CAS-PRE"},
+      {cas(CasPreWrite{t, five}), 46, 0xa309d4ed, 41, 5, "CAS-PRE"},
+      {cas(CasPreAck{t}), 37, 0xe97d48cf, 37, 0, "CAS-PRE-ACK"},
+      {cas(CasFinalize{t, false}), 38, 0x63ba13a6, 38, 0, "CAS-FIN"},
+      {cas(CasFinalize{t, true}), 38, 0x91d190a5, 38, 0, "CAS-FIN"},
+      {cas(CasFinAck{t, false, Bytes{}}), 42, 0x5fff48c0, 42, 0, "CAS-FIN-ACK"},
+      {cas(CasFinAck{t, true, Bytes{}}), 42, 0x67ee276c, 42, 0, "CAS-FIN-ACK"},
+      {cas(CasFinAck{t, true, five}), 47, 0xb9fa533c, 42, 5, "CAS-FIN-ACK"},
+      {std::make_shared<HeartbeatPing>(0x6162636465666768ull),
+       33, 0x035cbf66, 33, 0, "HEARTBEAT-PING"},
+      {std::make_shared<HeartbeatPong>(0x6162636465666768ull),
+       33, 0x2d6874fb, 33, 0, "HEARTBEAT-PONG"},
+      {st(RemotePut{"key-1", Value()}), 34, 0x9e473565, 34, 0, "STORE-PUT"},
+      {st(RemotePut{"key-1", pay}), 39, 0x9fe32242, 34, 5, "STORE-PUT"},
+      {st(RemoteGet{"key-1", ReadMode::Atomic}), 35, 0x52645a2c, 35, 0,
+       "STORE-GET"},
+      {st(RemoteGet{"key-1", ReadMode::Regular}), 35, 0x99322189, 35, 0,
+       "STORE-GET"},
+      {st(RemoteGet{"key-1", ReadMode::TagOnly}), 35, 0xc124db97, 35, 0,
+       "STORE-GET"},
+      {st(RemotePutIf{"key-1", Value(), Version()}), 47, 0x7bca6590, 47, 0,
+       "STORE-PUT-IF"},
+      {st(RemotePutIf{"key-1", pay, Version(t)}), 52, 0x92fdc078, 47, 5,
+       "STORE-PUT-IF"},
+      {st(bare), 45, 0xbaac7fe0, 45, 0, "STORE-REPLY"},
+      {st(full), 55, 0x8ea0b0c0, 50, 5, "STORE-REPLY"},
+      {st(RemoteReconfig{0, {}, "", 0}), 36, 0x85f90079, 36, 0,
+       "STORE-RECONFIG"},
+      {st(RemoteReconfig{1, {0, 3, 7}, "127.0.0.1", 7003}),
+       57, 0x62dbea4d, 57, 0, "STORE-RECONFIG"},
+      {mem(Hello{2, 5, 7002}), 39, 0x5f7f6453, 39, 0, "MEMBER-HELLO"},
+      {mem(Envelope{5, 20001, 30004}), 41, 0xc638e009, 41, 0, "MEMBER-ENV"},
+      {mem(StaleEpoch{6}), 33, 0xe77bc6fd, 33, 0, "MEMBER-STALE-EPOCH"},
+      {mem(JoinRequest{7002, {}}), 31, 0x6d427fc5, 31, 0, "MEMBER-JOIN"},
+      {mem(JoinRequest{7002, {30004, 30005}}), 39, 0x818671f0, 39, 0,
+       "MEMBER-JOIN"},
+      {mem(ViewPropose{Bytes{}}), 29, 0xaf181163, 29, 0, "MEMBER-VIEW-PROPOSE"},
+      {mem(ViewPropose{five}), 34, 0xc345e762, 34, 0, "MEMBER-VIEW-PROPOSE"},
+      {mem(ViewAck{5, true}), 34, 0xb64c8445, 34, 0, "MEMBER-VIEW-ACK"},
+      {mem(ViewAck{5, false}), 34, 0x44270746, 34, 0, "MEMBER-VIEW-ACK"},
+      {mem(ViewActivate{5}), 33, 0x84ec6fe0, 33, 0, "MEMBER-VIEW-ACTIVATE"},
+      {mem(ViewFetch{}), 25, 0xb8ead02b, 25, 0, "MEMBER-VIEW-FETCH"},
+      {mem(SyncL2{5, 4, {}}), 41, 0x4a322761, 41, 0, "MEMBER-SYNC-L2"},
+      {mem(SyncL2{5, 4, {0, 1, 2, 7}}), 57, 0x6207e287, 57, 0,
+       "MEMBER-SYNC-L2"},
+      {mem(SyncDone{5, 4, 3, 1}), 45, 0x0dfa245a, 45, 0, "MEMBER-SYNC-DONE"},
+  };
+}
+
+/// The variant indices of `Msg` bodies among the pinned frames.
+template <class Msg>
+std::set<std::size_t> pinned_types(const std::vector<Pinned>& pins) {
+  std::set<std::size_t> seen;
+  for (const Pinned& p : pins) {
+    if (const auto* m = dynamic_cast<const Msg*>(p.msg.get())) {
+      seen.insert(m->body().index());
+    }
+  }
+  return seen;
+}
+
+template <class Msg>
+void expect_every_type_pinned(const std::vector<Pinned>& pins) {
+  using Body = std::decay_t<decltype(std::declval<const Msg&>().body())>;
+  const std::set<std::size_t> seen = pinned_types<Msg>(pins);
+  for (std::size_t i = 0; i < std::variant_size_v<Body>; ++i) {
+    EXPECT_TRUE(seen.count(i) == 1)
+        << typeid(Msg).name() << " type id " << i << " has no pinned frame";
+  }
+}
+
+TEST(Codec, WireBytesArePinned) {
+  const std::vector<Pinned> pins = pinned_frames();
+  for (const Pinned& p : pins) {
+    const Bytes wire = encode(*p.msg).to_bytes();
+    const std::uint32_t crc = storage::crc32c(wire);
+    const bool same = wire.size() == p.size && crc == p.crc &&
+                      encoded_size(*p.msg) == p.size &&
+                      p.msg->meta_bytes() == p.meta &&
+                      p.msg->data_bytes() == p.data &&
+                      std::string(p.msg->type_name()) == p.name;
+    char row[160];
+    std::snprintf(row, sizeof row, "%llu, 0x%08x, %llu, %llu, \"%s\"",
+                  static_cast<unsigned long long>(wire.size()), crc,
+                  static_cast<unsigned long long>(p.msg->meta_bytes()),
+                  static_cast<unsigned long long>(p.msg->data_bytes()),
+                  p.msg->type_name());
+    EXPECT_TRUE(same) << "pinned " << p.name << ", got {" << row << "}\n"
+                      << "  encoded_size " << encoded_size(*p.msg)
+                      << "\n  frame " << hex(wire);
+
+    // The decoder reads the pinned bytes back into the same message.
+    MessagePtr back;
+    const Status s = decode(wire, &back);
+    ASSERT_TRUE(s.ok()) << p.name << ": " << s.to_string();
+    EXPECT_STREQ(back->type_name(), p.msg->type_name());
+    EXPECT_EQ(encode(*back).to_bytes(), wire) << p.name;
+  }
+  // A type added to a family without a pinned frame fails here.
+  expect_every_type_pinned<core::LdsMessage>(pins);
+  expect_every_type_pinned<baselines::AbdMessage>(pins);
+  expect_every_type_pinned<baselines::CasMessage>(pins);
+  expect_every_type_pinned<store::RemoteMessage>(pins);
+  expect_every_type_pinned<member::MemberMessage>(pins);
+}
+
+// ---- range and count guards ------------------------------------------------
+
+/// `frame` with the u8 at body offset `off` (after the fixed header) set to
+/// `v`.
+Bytes with_u8(Bytes frame, std::size_t off, std::uint8_t v) {
+  frame.at(kFrameOverheadBytes + off) = v;
+  return frame;
+}
+
+/// `frame` with the u32 at body offset `off` set to `v`.
+Bytes with_u32(Bytes frame, std::size_t off, std::uint32_t v) {
+  if (kFrameOverheadBytes + off + 4 > frame.size()) {
+    ADD_FAILURE() << "offset " << off << " past the frame";
+    return frame;
+  }
+  std::memcpy(frame.data() + kFrameOverheadBytes + off, &v, 4);
+  return frame;
+}
+
+TEST(Codec, RejectsOutOfRangeEnumsInWholeFrames) {
+  using namespace lds::store;
+  register_store_wire();
+  // RemoteGet: u8 mode | key-blob.  Modes above TagOnly are not read modes.
+  const Bytes get =
+      encode(*RemoteMessage::make(1, RemoteGet{"k", ReadMode::TagOnly}))
+          .to_bytes();
+  MessagePtr out;
+  ASSERT_TRUE(decode(with_u8(get, 0, 2), &out).ok());
+  expect_rejected(with_u8(get, 0, 3), "RemoteGet.mode = 3");
+  expect_rejected(with_u8(get, 0, 0xff), "RemoteGet.mode = 255");
+
+  // RemoteReply: u8 code | ...  Codes above kInvalidArgument are unknown.
+  RemoteReply reply;
+  reply.message = "m";
+  const Bytes rep = encode(*RemoteMessage::make(1, reply)).to_bytes();
+  ASSERT_TRUE(decode(with_u8(rep, 0, 6), &out).ok());
+  expect_rejected(with_u8(rep, 0, 7), "RemoteReply.code = 7");
+  expect_rejected(with_u8(rep, 0, 0xff), "RemoteReply.code = 255");
+}
+
+TEST(Codec, RejectsListCountsBeyondTheFrame) {
+  using namespace lds::member;
+  using namespace lds::store;
+  register_store_wire();
+  register_member_wire();
+  constexpr std::uint32_t kHuge = 0xffffffffu;
+  // JoinRequest: u16 port | u32 count | count x i32.
+  const Bytes join =
+      encode(*MemberMessage::make(JoinRequest{7002, {1, 2}})).to_bytes();
+  expect_rejected(with_u32(join, 2, kHuge), "JoinRequest count");
+  expect_rejected(with_u32(join, 2, 3), "JoinRequest count + 1");
+  // SyncL2: u64 epoch | u32 index | u32 count | count x u32.
+  const Bytes sync =
+      encode(*MemberMessage::make(SyncL2{5, 4, {0, 1}})).to_bytes();
+  expect_rejected(with_u32(sync, 12, kHuge), "SyncL2 count");
+  expect_rejected(with_u32(sync, 12, 3), "SyncL2 count + 1");
+  // RemoteReconfig: u8 op | u16 port | host-blob | u32 count | count x u32.
+  const std::string host = "h";
+  const Bytes reconf =
+      encode(*RemoteMessage::make(1, RemoteReconfig{1, {3, 4}, host, 9}))
+          .to_bytes();
+  const std::size_t count_off = 1 + 2 + 4 + host.size();
+  expect_rejected(with_u32(reconf, count_off, kHuge), "RemoteReconfig count");
+  expect_rejected(with_u32(reconf, count_off, 3), "RemoteReconfig count + 1");
+  // Writing the true count (2) at the same offsets decodes: the offsets
+  // above hit the count fields.
+  MessagePtr out;
+  EXPECT_TRUE(decode(with_u32(join, 2, 2), &out).ok());
+  EXPECT_TRUE(decode(with_u32(sync, 12, 2), &out).ok());
+  EXPECT_TRUE(decode(with_u32(reconf, count_off, 2), &out).ok());
 }
 
 TEST(Codec, FrameLayoutSplitsPayloadExtent) {
